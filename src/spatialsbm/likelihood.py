@@ -8,11 +8,10 @@ conditional log-likelihood used by the label sampler, the closed-form
 marginal likelihood backing new-domain proposals, and full-model
 deviance.
 
-The per-cell conditional and the new-domain marginal omit the Gaussian
--log(2*pi)/2 per-observation constant by default; ``include_norm_const``
-restores it on both so the pair stays comparable.  The deviance always
-carries the full normalizing constant and always includes the diagonal,
-so its observation count is n (n + 1) / 2.
+The per-cell conditional and the new-domain marginal both omit the
+Gaussian -log(2*pi)/2 per-observation constant.  The deviance carries the
+full normalizing constant and includes the diagonal, so its observation
+count is n (n + 1) / 2.
 """
 
 from __future__ import annotations
@@ -107,13 +106,11 @@ def block_stats(
     A: np.ndarray,
     labels,
     n_domains: int | None = None,
-    include_diagonal: bool = False,
 ) -> BlockStats:
     """Sufficient statistics of every (r, s) block, r <= s.
 
     Cross blocks (r < s) collect entries with one endpoint per domain;
-    within blocks collect strict pairs i < j.  ``include_diagonal`` adds
-    the self-similarities A[i, i] to their within-domain blocks.
+    within blocks collect strict pairs i < j (self-similarities excluded).
     """
     labels = as_labels(labels)
     K = int(labels.max()) if n_domains is None else int(n_domains)
@@ -129,14 +126,9 @@ def block_stats(
     sum1 = S1.copy()
     sum2 = S2.copy()
     r = np.arange(K)
-    if include_diagonal:
-        count[r, r] = occ * (occ + 1) / 2.0
-        sum1[r, r] = (S1[r, r] + d1) / 2.0
-        sum2[r, r] = (S2[r, r] + d2) / 2.0
-    else:
-        count[r, r] = occ * (occ - 1) / 2.0
-        sum1[r, r] = (S1[r, r] - d1) / 2.0
-        sum2[r, r] = (S2[r, r] - d2) / 2.0
+    count[r, r] = occ * (occ - 1) / 2.0
+    sum1[r, r] = (S1[r, r] - d1) / 2.0
+    sum2[r, r] = (S2[r, r] - d2) / 2.0
 
     nonempty = count > 0
     mean = np.where(nonempty, sum1 / np.where(nonempty, count, 1.0), 0.0)
@@ -213,7 +205,6 @@ def cell_conditional_loglik(
     params: BlockParams,
     i: int,
     c: int,
-    include_norm_const: bool = False,
 ) -> float:
     """Log-likelihood of cell i's similarity row under candidate domain c.
 
@@ -226,15 +217,10 @@ def cell_conditional_loglik(
     zj = labels[mask] - 1
     tau = params.precisions[c - 1, zj]
     mu = params.means[c - 1, zj]
-    out = float(np.sum(0.5 * np.log(tau) - 0.5 * tau * (A[i, mask] - mu) ** 2))
-    if include_norm_const:
-        out -= 0.5 * LOG_2PI * (n - 1)
-    return out
+    return float(np.sum(0.5 * np.log(tau) - 0.5 * tau * (A[i, mask] - mu) ** 2))
 
 
-def new_domain_marginal(
-    a_ii: float, prior: NormalGammaPrior, include_norm_const: bool = False
-) -> float:
+def new_domain_marginal(a_ii: float, prior: NormalGammaPrior) -> float:
     """Log marginal likelihood of a singleton domain observing only A[i, i].
 
     Closed form of the Normal-Gamma evidence with a single observation
@@ -243,15 +229,12 @@ def new_domain_marginal(
     kn = prior.k0 + 1.0
     an = prior.alpha + 0.5
     bn = prior.beta + prior.k0 / (2.0 * kn) * (a_ii - prior.mu0_diag) ** 2
-    out = (
+    return (
         float(gammaln(an) - gammaln(prior.alpha))
         + prior.alpha * math.log(prior.beta)
         - an * math.log(bn)
         + 0.5 * math.log(prior.k0 / kn)
     )
-    if include_norm_const:
-        out -= 0.5 * LOG_2PI
-    return out
 
 
 def full_deviance(

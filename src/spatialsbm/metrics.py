@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 from scipy.special import gammaln
 
 from .partition import as_labels, one_hot
@@ -124,13 +125,10 @@ def spari(truth, pred, coords, wfn: SpatialWeightFn = CONSTANT_ONE) -> float:
     n = t.size
     if n < 2:
         return 1.0
-    iu = np.triu_indices(n, k=1)
-    diff = P[:, None, :] - P[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))[iu]
-    w = wfn(dist)
-    together_t = (t[:, None] == t[None, :])[iu]
-    together_p = (p[:, None] == p[None, :])[iu]
-    disagree = together_t != together_p
+    # Condensed (i < j) pair vectors; a 1-D Hamming distance is 0 for a
+    # same-label pair and 1 otherwise.
+    w = wfn(pdist(P))
+    disagree = pdist(t[:, None], "hamming") != pdist(p[:, None], "hamming")
     leak = float((1.0 - w[disagree]).sum())
     weight_sum = float(w.sum())
     return float(_weighted_pair_agreement(ct, leak, weight_sum))
@@ -200,7 +198,8 @@ def nmi_ami_homogeneity(truth, pred) -> tuple[float, float, float]:
     denom_ami = 0.5 * (h_t + h_p) - emi
     ami = (mi - emi) / denom_ami if denom_ami != 0 else 0.0
 
-    homogeneity = 1.0 if h_t == 0 else 1.0 - (h_t - mi) / h_t
+    # mi can exceed h_t by rounding when the prediction refines the truth.
+    homogeneity = 1.0 if h_t == 0 else min(1.0, max(0.0, 1.0 - (h_t - mi) / h_t))
     return float(nmi), float(ami), float(homogeneity)
 
 

@@ -25,9 +25,9 @@ state because empty within-domain blocks inherit the diagonal-level
 prior mean).  The warm-start kernel only ever runs inside burn-in;
 recorded samples always come from the full kernel.
 
-The hot loop maintains a dense one-hot indicator of the partition so the
-per-cell block sums reduce to one small matrix-vector product per
-modality; at large n the stacked row cache is skipped to bound memory.
+The hot loop maintains a dense domain-major one-hot indicator of the
+partition so the per-cell block sums reduce to small matrix-vector
+products per modality.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import NumericError
 from .likelihood import (
-    LOG_2PI,
     BlockParams,
     BlockStats,
     NormalGammaPrior,
@@ -54,9 +53,6 @@ from .likelihood import (
 from .partition import Partition, relabel_contiguous
 from .partition_prior import MfmPrior
 from .similarity import NeighborhoodGraph, check_similarity_matrix
-
-# Above this many cells the (n, 2, n) stacked row cache is not built.
-STACK_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -82,9 +78,6 @@ class FitConfig:
     alpha: float = 1.0
     beta: float = 1.0
     warmup_sweeps: int | None = None
-    random_scan: bool = False
-    normalize_loglik: bool = False
-    blocks_include_diagonal: bool = False
 
     def validate(self, n_modalities: int | None = None) -> None:
         if self.lam < 0:
@@ -198,31 +191,21 @@ class GibbsSampler:
             raise ValueError("block parameter matrices do not match the label range")
         self.params = [p.copy() for p in params]
 
-        # Dense bookkeeping for the hot loop.
-        self.G = np.zeros((n, self.n_domains))
-        self.G[np.arange(n), self.z] = 1.0
-        self.occ = self.G.sum(axis=0)
+        # Dense bookkeeping for the hot loop: GT[c, i] = 1 iff z_i = c.
+        self.GT = np.zeros((self.n_domains, n))
+        self.GT[self.z, np.arange(n)] = 1.0
+        self.occ = self.GT.sum(axis=1)
         self._lgocc = np.log(self.occ + config.gamma)
         self._diag = [np.ascontiguousarray(np.diag(A)) for A in self.sims]
-        self._stacked = n <= STACK_LIMIT
-        if self._stacked:
-            self._rows = [np.stack([A, A * A], axis=1) for A in self.sims]
-        else:
-            self._rows = None
-        norm = -0.5 * LOG_2PI * (n - 1) if config.normalize_loglik else 0.0
-        self._norm_shift = norm * sum(self.weights)
         self._new_const = np.zeros(n)
-        for A, w, prior in zip(self.sims, self.weights, self.priors):
+        for diag, w, prior in zip(self._diag, self.weights, self.priors):
             if w == 0.0:
                 continue
             self._new_const += w * np.array(
-                [
-                    new_domain_marginal(a, prior, config.normalize_loglik)
-                    for a in np.diag(A)
-                ]
+                [new_domain_marginal(a, prior) for a in diag]
             )
         self._refresh_caches()
-        self.deviance = self._compute_deviance()
+        self.deviance = self._deviance(*self._current_stats())
 
     # ----- cached per-sweep quantities -------------------------------------
 
@@ -242,18 +225,15 @@ class GibbsSampler:
     def _purge(self, d: int) -> None:
         """Remove the (empty) domain d, shifting labels above it down."""
         self.z[self.z > d] -= 1
-        self.G = np.delete(self.G, d, axis=1)
+        self.GT = np.delete(self.GT, d, axis=0)
         self.occ = np.delete(self.occ, d)
         self._lgocc = np.delete(self._lgocc, d)
-        for m in range(len(self.params)):
-            p = self.params[m]
+        for m, p in enumerate(self.params):
             self.params[m] = BlockParams(
                 means=np.delete(np.delete(p.means, d, 0), d, 1),
                 precisions=np.delete(np.delete(p.precisions, d, 0), d, 1),
             )
-            self._tau[m] = np.delete(np.delete(self._tau[m], d, 0), d, 1)
-            self._tau_mu[m] = np.delete(np.delete(self._tau_mu[m], d, 0), d, 1)
-            self._half[m] = np.delete(np.delete(self._half[m], d, 0), d, 1)
+        self._refresh_caches()
         self.n_domains -= 1
 
     def _grow(self) -> None:
@@ -276,13 +256,8 @@ class GibbsSampler:
             precs[K, :] = tau_vec
             precs[:, K] = tau_vec
             self.params[m] = BlockParams(means=means, precisions=precs)
-            for cache, full in (
-                (self._tau, precs),
-                (self._tau_mu, precs * means),
-                (self._half, 0.5 * np.log(precs) - 0.5 * precs * means * means),
-            ):
-                cache[m] = full
-        self.G = np.hstack([self.G, np.zeros((self.n, 1))])
+        self._refresh_caches()
+        self.GT = np.vstack([self.GT, np.zeros((1, self.n))])
         self.occ = np.append(self.occ, 0.0)
         self._lgocc = np.append(self._lgocc, 0.0)
         self.n_domains += 1
@@ -297,18 +272,13 @@ class GibbsSampler:
         buf = np.empty(K + 1 if include_new else K)
         buf[:K] = self._lgocc
         if cfg.lam != 0.0:
-            buf[:K] += cfg.lam * (self.graph.adjacency[i] @ self.G)
-        if self._norm_shift:
-            buf[:K] += self._norm_shift
+            buf[:K] += cfg.lam * (self.GT @ self.graph.adjacency[i])
         for m, w in enumerate(self.weights):
             if w == 0.0:
                 continue
-            if self._stacked:
-                s1, s2 = self._rows[m][i] @ self.G
-            else:
-                row = self.sims[m][i]
-                s1 = row @ self.G
-                s2 = (row * row) @ self.G
+            row = self.sims[m][i]
+            s1 = self.GT @ row
+            s2 = self.GT @ (row * row)
             ell = (
                 self._half[m] @ self.occ
                 - 0.5 * (self._tau[m] @ s2)
@@ -343,7 +313,7 @@ class GibbsSampler:
         if not allow_new and self.occ[old] == 1.0:
             return None
         self.occ[old] -= 1.0
-        self.G[i, old] = 0.0
+        self.GT[old, i] = 0.0
         if self.occ[old] == 0.0:
             self.z[i] = -1
             self._purge(old)
@@ -359,7 +329,7 @@ class GibbsSampler:
             self._grow()
         self.z[i] = c
         self.occ[c] += 1.0
-        self.G[i, c] = 1.0
+        self.GT[c, i] = 1.0
         self._lgocc[c] = math.log(self.occ[c] + self.config.gamma)
         return out
 
@@ -369,73 +339,53 @@ class GibbsSampler:
         labels = self.z + 1
         stats, d1s, d2s = [], [], []
         for A, diag in zip(self.sims, self._diag):
-            stats.append(block_stats(A, labels, self.n_domains, include_diagonal=False))
+            stats.append(block_stats(A, labels, self.n_domains))
             d1s.append(np.bincount(self.z, weights=diag, minlength=self.n_domains))
             d2s.append(
                 np.bincount(self.z, weights=diag * diag, minlength=self.n_domains)
             )
         return stats, d1s, d2s
 
-    @staticmethod
-    def _stats_with_diagonal(
-        stats: BlockStats, occ: np.ndarray, d1: np.ndarray, d2: np.ndarray
-    ) -> BlockStats:
-        count = stats.count.copy()
-        sum1 = stats.count * stats.mean
-        sum2 = stats.sse + stats.count * stats.mean * stats.mean
-        r = np.arange(stats.n_domains)
-        count[r, r] += occ
-        sum1[r, r] += d1
-        sum2[r, r] += d2
-        nonempty = count > 0
-        mean = np.where(nonempty, sum1 / np.where(nonempty, count, 1.0), 0.0)
-        sse = np.where(nonempty, sum2 - count * mean * mean, 0.0)
-        return BlockStats(count=count, mean=mean, sse=np.maximum(sse, 0.0))
-
     def sweep(self, allow_new: bool = True) -> float:
         """One full iteration: label pass, parameter redraw, deviance."""
-        if self.config.random_scan:
-            order = self.rng.permutation(self.n)
-        else:
-            order = range(self.n)
-        for i in order:
-            self.label_update(int(i), allow_new=allow_new)
+        for i in range(self.n):
+            self.label_update(i, allow_new=allow_new)
         stats, d1s, d2s = self._current_stats()
-        self._resample_all_params(stats, d1s, d2s)
-        self.deviance = 0.0
-        for m, w in enumerate(self.weights):
-            if w == 0.0:
-                continue
-            self.deviance += w * deviance_from_stats(
-                stats[m], self.occ, d1s[m], d2s[m], self.params[m]
-            )
+        self._resample_all_params(stats)
+        self.deviance = self._deviance(stats, d1s, d2s)
         return self.deviance
 
-    def _resample_all_params(self, stats, d1s, d2s) -> None:
+    def _resample_all_params(self, stats: list[BlockStats]) -> None:
         for m, prior in enumerate(self.priors):
-            st = stats[m]
-            if self.config.blocks_include_diagonal:
-                st = self._stats_with_diagonal(st, self.occ, d1s[m], d2s[m])
-            self.params[m] = resample_block_params(st, prior, self.rng)
+            self.params[m] = resample_block_params(stats[m], prior, self.rng)
         self._refresh_caches()
 
     def refit_params(self) -> None:
         """Redraw every block parameter from its posterior given the current
         partition (used once before the warm-start label passes)."""
-        stats, d1s, d2s = self._current_stats()
-        self._resample_all_params(stats, d1s, d2s)
+        self._resample_all_params(self._current_stats()[0])
 
     def _cell_fit_scores(self) -> np.ndarray:
-        """Weighted log-likelihood of each cell's row under its own domain."""
-        z0 = self.z
+        """Weighted log-likelihood of each cell's row under its own domain.
+
+        The label-update expansion with each cell's own-domain row of the
+        cached block terms, minus the j = i term.
+        """
+        z = self.z
+        G = self.GT.T
         scores = np.zeros(self.n)
         for m, w in enumerate(self.weights):
             if w == 0.0:
                 continue
-            Tau = self.params[m].precisions[np.ix_(z0, z0)]
-            Mu = self.params[m].means[np.ix_(z0, z0)]
-            L = 0.5 * np.log(Tau) - 0.5 * Tau * (self.sims[m] - Mu) ** 2
-            scores += w * (L.sum(axis=1) - np.diag(L))
+            A, a = self.sims[m], self._diag[m]
+            half, tau, tau_mu = self._half[m], self._tau[m], self._tau_mu[m]
+            rows = (
+                half[z] @ self.occ
+                - 0.5 * ((A * A) @ G * tau[z]).sum(axis=1)
+                + (A @ G * tau_mu[z]).sum(axis=1)
+            )
+            own = half[z, z] - 0.5 * tau[z, z] * a * a + tau_mu[z, z] * a
+            scores += w * (rows - own)
         return scores
 
     def reseed_small_domains(self, min_occ: int = 2) -> bool:
@@ -467,18 +417,17 @@ class GibbsSampler:
                 old = self.z[i]
                 self.occ[old] -= 1.0
                 self._lgocc[old] = math.log(self.occ[old] + self.config.gamma)
-                self.G[i, old] = 0.0
+                self.GT[old, i] = 0.0
                 self.z[i] = d
                 self.occ[d] += 1.0
                 self._lgocc[d] = math.log(self.occ[d] + self.config.gamma)
-                self.G[i, d] = 1.0
+                self.GT[d, i] = 1.0
                 taken.add(i)
                 moved += 1
         self.refit_params()
         return True
 
-    def _compute_deviance(self) -> float:
-        stats, d1s, d2s = self._current_stats()
+    def _deviance(self, stats, d1s, d2s) -> float:
         return sum(
             w * deviance_from_stats(stats[m], self.occ, d1s[m], d2s[m], self.params[m])
             for m, w in enumerate(self.weights)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import DataError
 from .features import Embedding
@@ -106,8 +107,6 @@ def build_neighborhood(coords: np.ndarray, delta: float) -> NeighborhoodGraph:
         raise DataError("coordinates must be an n x 2 array")
     if not np.isfinite(P).all():
         raise DataError("coordinates contain non-finite entries")
-    diff = P[:, None, :] - P[None, :, :]
-    d2 = (diff * diff).sum(axis=-1)
-    W = (d2 <= delta * delta).astype(float)
+    W = (cdist(P, P, "sqeuclidean") <= delta * delta).astype(float)
     np.fill_diagonal(W, 0.0)
     return NeighborhoodGraph(adjacency=W, delta=float(delta))

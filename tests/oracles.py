@@ -249,6 +249,24 @@ def full_conditional_oracle(
     return np.array(out)
 
 
+def cell_fit_scores_dense(sims, weights, labels, params_list) -> np.ndarray:
+    """Each cell's weighted row log-likelihood under its own domain.
+
+    Gathers the dense n x n block precision and mean matrices and sums the
+    Gaussian log-density (constant omitted) over j != i.
+    """
+    z0 = np.asarray(labels) - 1
+    scores = np.zeros(z0.size)
+    for A, w, params in zip(sims, weights, params_list):
+        if w == 0.0:
+            continue
+        Tau = params.precisions[np.ix_(z0, z0)]
+        Mu = params.means[np.ix_(z0, z0)]
+        L = 0.5 * np.log(Tau) - 0.5 * Tau * (A - Mu) ** 2
+        scores += w * (L.sum(axis=1) - np.diag(L))
+    return scores
+
+
 # ---------------------------------------------------------------------------
 # clustering-metric oracles by direct summation
 
@@ -281,6 +299,36 @@ def ari_pair_counting(truth, pred) -> float:
     if e_ri == 1.0:
         return 1.0 if b == 0 and c == 0 else 0.0
     return (ri - e_ri) / (1 - e_ri)
+
+
+def spari_linear_decay_pair_loop(truth, pred, coords, d_max: float) -> float:
+    """Distance-weighted adjusted Rand index by walking all pairs i < j.
+
+    Each pair gets w = min(1, d / d_max); disagreeing pairs return 1 - w
+    of their credit, and the chance term shrinks by the same weighted mass.
+    """
+    truth = np.asarray(truth)
+    pred = np.asarray(pred)
+    coords = np.asarray(coords, dtype=float)
+    n = len(truth)
+    N = n * (n - 1) / 2
+    agree = t_pairs = p_pairs = 0
+    leak = weight_sum = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = min(1.0, math.dist(coords[i], coords[j]) / d_max)
+            weight_sum += w
+            st = truth[i] == truth[j]
+            sp = pred[i] == pred[j]
+            t_pairs += st
+            p_pairs += sp
+            if st == sp:
+                agree += 1
+            else:
+                leak += 1.0 - w
+    e_plain = N - t_pairs - p_pairs + 2.0 * t_pairs * p_pairs / N
+    expected = e_plain + (1.0 - e_plain / N) * (N - weight_sum)
+    return (agree + leak - expected) / (N - expected)
 
 
 def info_metrics_direct(truth, pred) -> tuple[float, float, float]:

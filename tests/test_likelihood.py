@@ -97,12 +97,6 @@ class TestBlockStats:
         iu = np.triu_indices(3)
         assert st.count[iu].sum() == n * (n - 1) / 2
 
-    def test_diagonal_inclusion_switch(self):
-        A = np.array([[3.0, 0.5], [0.5, 5.0]])
-        st = block_stats(A, np.array([1, 1]), include_diagonal=True)
-        assert st.count[0, 0] == 3  # one strict pair plus two self entries
-        assert st.mean[0, 0] == pytest.approx((3.0 + 5.0 + 0.5) / 3)
-
 
 class TestPosteriorHyperparams:
     def test_empty_block_returns_prior(self):

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ari_pair_counting, info_metrics_direct, morans_i_direct
+from oracles import (
+    ari_pair_counting,
+    info_metrics_direct,
+    morans_i_direct,
+    spari_linear_decay_pair_loop,
+)
 from spatialsbm.metrics import (
     CONSTANT_ONE,
     SpatialWeightFn,
@@ -119,6 +124,13 @@ class TestInfoMetrics:
             assert -1.0 <= ami <= 1.0
             assert 0.0 <= homog <= 1.0
 
+    def test_homogeneity_of_refinement_at_most_one(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            t = rng.integers(1, 5, 60)
+            p = 10 * t + rng.integers(0, 3, 60)
+            assert nmi_ami_homogeneity(t, p)[2] <= 1.0
+
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(44)
         t, p = random_partition_pair(rng, 20)
@@ -200,6 +212,17 @@ class TestSpari:
         for _ in range(50):
             t, p = random_partition_pair(rng, 30)
             assert spari(t, p, coords, CONSTANT_ONE) == ari(t, p)
+
+    def test_linear_decay_matches_pair_loop_oracle(self):
+        rng = np.random.default_rng(21)
+        for n, d_max in ((25, 2.0), (40, 5.0), (40, 50.0)):
+            coords = rng.uniform(0, 10, size=(n, 2))
+            coords[1] = coords[0]
+            for _ in range(5):
+                t, p = random_partition_pair(rng, n)
+                got = spari(t, p, coords, linear_decay(d_max))
+                expected = spari_linear_decay_pair_loop(t, p, coords, d_max)
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_identical_partitions_give_one(self):
         rng = np.random.default_rng(2)

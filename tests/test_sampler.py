@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import full_conditional_oracle
+from oracles import cell_fit_scores_dense, full_conditional_oracle
 from spatialsbm.likelihood import empirical_prior, prior_block_params
 from spatialsbm.partition import Partition
 from spatialsbm.sampler import (
@@ -277,18 +277,21 @@ class TestRunChain:
         assert ss.ari(truth, summ.labels) == 1.0
 
 
-class TestStackedAndUnstackedPathsAgree:
-    def test_same_trajectories(self, monkeypatch):
-        import spatialsbm.sampler as sampler_mod
-
-        A, graph = toy_problem(n=10, seed=9)
-        cfg = FitConfig(n_iterations=8, n_burnin=4, seed=13, init_k=3)
-        fast = run_chain([A], graph, cfg)
-        monkeypatch.setattr(sampler_mod, "STACK_LIMIT", 0)
-        slow = run_chain([A], graph, cfg)
-        for a, b in zip(fast, slow):
-            assert np.array_equal(a.labels, b.labels)
-            assert a.deviance == pytest.approx(b.deviance, rel=1e-12)
+class TestReseed:
+    def test_fit_scores_match_dense_formula(self):
+        spec = SyntheticSpec(grid_side=8, k_true=3, mu_within=0.8,
+                             mu_between=0.0, precision=4.0, seed=5, n_modalities=2)
+        sims, coords, _ = generate_spatial_sbm(spec)
+        graph = build_neighborhood(coords, 1.0)
+        cfg = FitConfig(lam=0.5, weights=(1.5, 0.7), n_iterations=2, n_burnin=1,
+                        seed=3, init_k=4)
+        s = GibbsSampler(sims, graph, cfg)
+        s.refit_params()
+        for _ in range(3):
+            s.sweep(allow_new=False)
+            expected = cell_fit_scores_dense(s.sims, s.weights, s.labels, s.params)
+            assert np.allclose(s._cell_fit_scores(), expected, rtol=1e-12, atol=0.0)
+            s.reseed_small_domains()
 
 
 class TestSeedDerivation:
