@@ -59,6 +59,7 @@ from .similarity import (
 from .summary import (
     PosteriorSummary,
     comembership,
+    dahl_index,
     dahl_select,
     mean_comembership,
     summarize_chain,
@@ -97,6 +98,7 @@ __all__ = [
     "cell_conditional_loglik",
     "comembership",
     "cosine_similarity",
+    "dahl_index",
     "dahl_select",
     "empirical_prior",
     "evaluate_config",

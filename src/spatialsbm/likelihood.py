@@ -8,6 +8,14 @@ conditional log-likelihood used by the label sampler, the closed-form
 marginal likelihood backing new-domain proposals, and full-model
 deviance.
 
+Block statistics come from one formula, :func:`block_stats_from_sums`,
+which turns the K x K block sums S1 = G' A G and S2 = G' (A * A) G, the
+occupancies and the per-domain diagonal sums into counts, means and
+residual sums of squares.  :func:`block_stats` forms those sums from a
+label vector in O(n^2 K); the Gibbs sampler keeps the cell-by-domain
+sums G' A and G' (A * A) up to date as cells move and gets the same
+block sums from them in O(n K^2).
+
 The per-cell conditional and the new-domain marginal both omit the
 Gaussian -log(2*pi)/2 per-observation constant.  The deviance carries the
 full normalizing constant and includes the diagonal, so its observation
@@ -89,13 +97,17 @@ def empirical_prior(
     beta: float = 1.0,
 ) -> NormalGammaPrior:
     """Data-driven prior location: mean of the diagonal for within-domain
-    blocks, mean of the strict upper triangle for between-domain blocks."""
+    blocks, mean of the strict upper triangle for between-domain blocks.
+
+    A is symmetric, so the strict upper triangle holds half of the
+    off-diagonal mass: its mean is (sum(A) - trace(A)) / (n (n - 1)).
+    """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    iu = np.triu_indices(n, k=1)
+    diag = np.diag(A)
     return NormalGammaPrior(
-        mu0_diag=float(np.diag(A).mean()),
-        mu0_offdiag=float(A[iu].mean()),
+        mu0_diag=float(diag.mean()),
+        mu0_offdiag=float((A.sum() - diag.sum()) / (n * (n - 1))),
         k0=k0,
         alpha=alpha,
         beta=beta,
@@ -115,13 +127,30 @@ def block_stats(
     labels = as_labels(labels)
     K = int(labels.max()) if n_domains is None else int(n_domains)
     G = one_hot(labels, K)
-    occ = G.sum(axis=0)
-    S1 = G.T @ (A @ G)
-    S2 = G.T @ ((A * A) @ G)
     diag = np.diag(A)
-    d1 = np.bincount(labels - 1, weights=diag, minlength=K)
-    d2 = np.bincount(labels - 1, weights=diag * diag, minlength=K)
+    return block_stats_from_sums(
+        occ=G.sum(axis=0),
+        S1=G.T @ (A @ G),
+        S2=G.T @ ((A * A) @ G),
+        d1=np.bincount(labels - 1, weights=diag, minlength=K),
+        d2=np.bincount(labels - 1, weights=diag * diag, minlength=K),
+    )
 
+
+def block_stats_from_sums(
+    occ: np.ndarray,
+    S1: np.ndarray,
+    S2: np.ndarray,
+    d1: np.ndarray,
+    d2: np.ndarray,
+) -> BlockStats:
+    """Block statistics from the K x K sums over all ordered pairs.
+
+    ``S1[r, s]`` and ``S2[r, s]`` sum A[i, j] and A[i, j]^2 over i in r
+    and j in s, the diagonal included; ``d1`` and ``d2`` sum A[i, i] and
+    A[i, i]^2 over each domain so the within blocks can drop it.
+    """
+    K = occ.shape[0]
     count = np.outer(occ, occ)
     sum1 = S1.copy()
     sum2 = S2.copy()

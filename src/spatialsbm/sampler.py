@@ -25,9 +25,21 @@ state because empty within-domain blocks inherit the diagonal-level
 prior mean).  The warm-start kernel only ever runs inside burn-in;
 recorded samples always come from the full kernel.
 
-The hot loop maintains a dense domain-major one-hot indicator of the
-partition so the per-cell block sums reduce to small matrix-vector
-products per modality.
+The hot loop works on maintained sums instead of similarity rows.  The
+sampler keeps, per modality m, the cell-by-domain sums H1[m] = GT @ A_m
+and H2[m] = GT @ (A_m * A_m), and the neighbour counts NB = GT @
+adjacency, where GT is the K x n one-hot indicator of the partition;
+all three live in one stacked (2M + 1, K, n) array.  A label update
+reads cell i's column of that array (minus the cell's own diagonal term
+in the domain it was detached from) and scores every candidate with one
+matrix-vector product over that column and the occupancies, O(M K^2)
+per update.  Only a cell that actually changes label costs O(M n): its
+rows A_m[i], A_m[i]^2 and adjacency[i] (the dense form of
+graph.neighbor_lists[i]) are subtracted from the old domain's sums and
+added to the new one's.  Opening a domain appends a zero row and
+removing one deletes its row, so the sums are exact bookkeeping with no
+periodic recompute.  Block statistics per sweep come from H @ GT.T in
+O(M n K^2), and the warm-start reseed scores cells from the same sums.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from .likelihood import (
     BlockParams,
     BlockStats,
     NormalGammaPrior,
-    block_stats,
+    block_stats_from_sums,
     deviance_from_stats,
     empirical_prior,
     new_domain_marginal,
@@ -138,6 +150,14 @@ def init_chain(
     return partition, params
 
 
+def _half_terms(p: BlockParams) -> np.ndarray:
+    """log(tau) / 2 - tau mu^2 / 2 per block: the part of the Gaussian
+    log-density that does not depend on the observation."""
+    tau = p.precisions
+    mu = p.means
+    return 0.5 * np.log(tau) - 0.5 * tau * mu * mu
+
+
 class GibbsSampler:
     """Mutable chain state over one dataset and configuration."""
 
@@ -191,12 +211,20 @@ class GibbsSampler:
             raise ValueError("block parameter matrices do not match the label range")
         self.params = [p.copy() for p in params]
 
-        # Dense bookkeeping for the hot loop: GT[c, i] = 1 iff z_i = c.
+        # GT[c, i] = 1 iff z_i = c, and the maintained cell-by-domain sums
+        # H[2m] = GT @ A_m, H[2m + 1] = GT @ (A_m * A_m), H[-1] = GT @
+        # adjacency (see the module docstring).
         self.GT = np.zeros((self.n_domains, n))
         self.GT[self.z, np.arange(n)] = 1.0
+        self.H = np.stack(
+            [self.GT @ X for A in self.sims for X in (A, A * A)]
+            + [self.GT @ graph.adjacency]
+        )
         self.occ = self.GT.sum(axis=1)
         self._lgocc = np.log(self.occ + config.gamma)
         self._diag = [np.ascontiguousarray(np.diag(A)) for A in self.sims]
+        # Cell i's own entries of the H1 / H2 rows: [A_m[i, i], A_m[i, i]^2].
+        self._self_terms = np.array([t for d in self._diag for t in (d, d * d)])
         self._new_const = np.zeros(n)
         for diag, w, prior in zip(self._diag, self.weights, self.priors):
             if w == 0.0:
@@ -207,18 +235,52 @@ class GibbsSampler:
         self._refresh_caches()
         self.deviance = self._deviance(*self._current_stats())
 
+    @property
+    def H1(self) -> np.ndarray:
+        """(M, K, n) view: H1[m] = GT @ A_m."""
+        return self.H[0:-1:2]
+
+    @property
+    def H2(self) -> np.ndarray:
+        """(M, K, n) view: H2[m] = GT @ (A_m * A_m)."""
+        return self.H[1:-1:2]
+
+    @property
+    def NB(self) -> np.ndarray:
+        """(K, n) view: NB[c, j] = number of neighbours of j in domain c."""
+        return self.H[-1]
+
     # ----- cached per-sweep quantities -------------------------------------
 
     def _refresh_caches(self) -> None:
-        self._tau = []
-        self._tau_mu = []
-        self._half = []
-        for p in self.params:
-            tau = p.precisions
-            mu = p.means
-            self._tau.append(tau)
-            self._tau_mu.append(tau * mu)
-            self._half.append(0.5 * np.log(tau) - 0.5 * tau * mu * mu)
+        """Per-parameter terms of the label update.
+
+        ``_coef`` is the K x (R + 1) K matrix that turns a detached cell's
+        column of the sums H, followed by the occupancies, into the
+        likelihood and spatial part of its existing-domain log-weights:
+        its blocks are w_m tau_m mu_m against H1[m], -w_m tau_m / 2
+        against H2[m], lam I against NB and sum_m w_m h_m against the
+        occupancies, with h_m from :func:`_half_terms`.
+        """
+        K = self.params[0].n_domains
+        R = self.H.shape[0]
+        coef = np.zeros((K, R + 1, K))
+        for m, (p, w) in enumerate(zip(self.params, self.weights)):
+            if w == 0.0:
+                continue
+            coef[:, 2 * m] = w * p.precisions * p.means
+            coef[:, 2 * m + 1] = -0.5 * w * p.precisions
+            coef[:, R] += w * _half_terms(p)
+        diag = np.arange(K)
+        coef[diag, R - 1, diag] = self.config.lam
+        self._coef = coef.reshape(K, -1)
+        # The sums H and the occupancies are bounded, so finite
+        # coefficients keep every existing-domain weight finite; a finite
+        # total means every coefficient is finite.
+        if not math.isfinite(self._coef.sum()):
+            rows, cols = np.nonzero(~np.isfinite(self._coef))
+            pairs = sorted(set(zip(rows.tolist(), (cols % K).tolist())))
+            raise NumericError(f"non-finite label-weight terms at domain pairs {pairs}")
 
     # ----- structural edits -------------------------------------------------
 
@@ -226,6 +288,7 @@ class GibbsSampler:
         """Remove the (empty) domain d, shifting labels above it down."""
         self.z[self.z > d] -= 1
         self.GT = np.delete(self.GT, d, axis=0)
+        self.H = np.delete(self.H, d, axis=1)
         self.occ = np.delete(self.occ, d)
         self._lgocc = np.delete(self._lgocc, d)
         for m, p in enumerate(self.params):
@@ -258,37 +321,56 @@ class GibbsSampler:
             self.params[m] = BlockParams(means=means, precisions=precs)
         self._refresh_caches()
         self.GT = np.vstack([self.GT, np.zeros((1, self.n))])
+        self.H = np.concatenate([self.H, np.zeros((self.H.shape[0], 1, self.n))], axis=1)
         self.occ = np.append(self.occ, 0.0)
         self._lgocc = np.append(self._lgocc, 0.0)
         self.n_domains += 1
 
+    def _move(self, i: int, old: int, new: int) -> None:
+        """Relabel cell i from domain old to new in z, GT and the sums H.
+
+        ``old = -1`` means the cell's old domain was already purged, which
+        removed its contribution along with the domain's row.
+        Occupancies are the caller's business.
+        """
+        rows = np.empty((self.H.shape[0], self.n))
+        for m, A in enumerate(self.sims):
+            rows[2 * m] = A[i]
+            np.multiply(A[i], A[i], out=rows[2 * m + 1])
+        rows[-1] = self.graph.adjacency[i]
+        if old >= 0:
+            self.H[:, old] -= rows
+            self.GT[old, i] = 0.0
+        self.H[:, new] += rows
+        self.GT[new, i] = 1.0
+        self.z[i] = new
+
     # ----- label update -----------------------------------------------------
 
-    def _candidate_log_weights(self, i: int, include_new: bool = True) -> np.ndarray:
+    def _candidate_log_weights(
+        self, i: int, old: int, include_new: bool = True
+    ) -> np.ndarray:
         """Log weights of the K* existing domains (plus the new-domain slot
-        unless excluded) for cell i, already detached from the partition."""
+        unless excluded) for cell i, already detached from domain ``old``
+        (-1 if that domain was purged).
+
+        The sums H still count cell i in ``old``; only its own diagonal
+        entries need taking out, since adjacency has a zero diagonal.
+        """
         K = self.n_domains
-        cfg = self.config
+        R = self.H.shape[0]
+        x = np.empty((R + 1) * K)
+        col = x.reshape(R + 1, K)
+        col[:R] = self.H[:, :, i]
+        col[R] = self.occ
+        if old >= 0:
+            col[: R - 1, old] -= self._self_terms[:, i]
         buf = np.empty(K + 1 if include_new else K)
-        buf[:K] = self._lgocc
-        if cfg.lam != 0.0:
-            buf[:K] += cfg.lam * (self.GT @ self.graph.adjacency[i])
-        for m, w in enumerate(self.weights):
-            if w == 0.0:
-                continue
-            row = self.sims[m][i]
-            s1 = self.GT @ row
-            s2 = self.GT @ (row * row)
-            ell = (
-                self._half[m] @ self.occ
-                - 0.5 * (self._tau[m] @ s2)
-                + self._tau_mu[m] @ s1
-            )
-            buf[:K] += w * ell
+        buf[:K] = self._lgocc + self._coef.dot(x)
         if include_new:
             buf[K] = self._new_const[i] + self.mfm.log_new_weight(K)
-        if not np.isfinite(buf).all():
-            self._raise_weight_diagnostic(i, buf)
+            if not math.isfinite(buf[K]):
+                self._raise_weight_diagnostic(i, buf)
         return buf
 
     def _raise_weight_diagnostic(self, i: int, buf: np.ndarray) -> None:
@@ -313,36 +395,39 @@ class GibbsSampler:
         if not allow_new and self.occ[old] == 1.0:
             return None
         self.occ[old] -= 1.0
-        self.GT[old, i] = 0.0
         if self.occ[old] == 0.0:
             self.z[i] = -1
             self._purge(old)
+            old = -1
         else:
             self._lgocc[old] = math.log(self.occ[old] + self.config.gamma)
         K = self.n_domains
-        buf = self._candidate_log_weights(i, include_new=allow_new)
+        buf = self._candidate_log_weights(i, old, include_new=allow_new)
         out = buf.copy() if return_weights else None
         if not allow_new:
             buf = buf - self._lgocc
-        c = int(np.argmax(buf + self.rng.gumbel(0.0, 1.0, buf.size)))
+        c = int((buf + self.rng.gumbel(0.0, 1.0, buf.size)).argmax())
         if c == K:
             self._grow()
-        self.z[i] = c
+        if c != old:
+            self._move(i, old, c)
         self.occ[c] += 1.0
-        self.GT[c, i] = 1.0
         self._lgocc[c] = math.log(self.occ[c] + self.config.gamma)
         return out
 
     # ----- sweep ------------------------------------------------------------
 
     def _current_stats(self) -> tuple[list[BlockStats], list[np.ndarray], list[np.ndarray]]:
-        labels = self.z + 1
+        sums = self.H[:-1] @ self.GT.T
         stats, d1s, d2s = [], [], []
-        for A, diag in zip(self.sims, self._diag):
-            stats.append(block_stats(A, labels, self.n_domains))
+        for m, diag in enumerate(self._diag):
             d1s.append(np.bincount(self.z, weights=diag, minlength=self.n_domains))
             d2s.append(
                 np.bincount(self.z, weights=diag * diag, minlength=self.n_domains)
+            )
+            stats.append(
+                block_stats_from_sums(self.occ, sums[2 * m], sums[2 * m + 1],
+                                      d1s[m], d2s[m])
             )
         return stats, d1s, d2s
 
@@ -369,20 +454,21 @@ class GibbsSampler:
         """Weighted log-likelihood of each cell's row under its own domain.
 
         The label-update expansion with each cell's own-domain row of the
-        cached block terms, minus the j = i term.
+        block terms and its column of the sums H, minus the j = i term.
         """
         z = self.z
-        G = self.GT.T
         scores = np.zeros(self.n)
-        for m, w in enumerate(self.weights):
+        for m, (p, w) in enumerate(zip(self.params, self.weights)):
             if w == 0.0:
                 continue
-            A, a = self.sims[m], self._diag[m]
-            half, tau, tau_mu = self._half[m], self._tau[m], self._tau_mu[m]
+            a = self._diag[m]
+            tau = p.precisions
+            tau_mu = tau * p.means
+            half = _half_terms(p)
             rows = (
                 half[z] @ self.occ
-                - 0.5 * ((A * A) @ G * tau[z]).sum(axis=1)
-                + (A @ G * tau_mu[z]).sum(axis=1)
+                - 0.5 * (self.H2[m].T * tau[z]).sum(axis=1)
+                + (self.H1[m].T * tau_mu[z]).sum(axis=1)
             )
             own = half[z, z] - 0.5 * tau[z, z] * a * a + tau_mu[z, z] * a
             scores += w * (rows - own)
@@ -417,11 +503,9 @@ class GibbsSampler:
                 old = self.z[i]
                 self.occ[old] -= 1.0
                 self._lgocc[old] = math.log(self.occ[old] + self.config.gamma)
-                self.GT[old, i] = 0.0
-                self.z[i] = d
+                self._move(i, old, d)
                 self.occ[d] += 1.0
                 self._lgocc[d] = math.log(self.occ[d] + self.config.gamma)
-                self.GT[d, i] = 1.0
                 taken.add(i)
                 moved += 1
         self.refit_params()

@@ -165,9 +165,22 @@ def evaluate_config(
     )
 
 
+# Similarities and graphs of the running grid search, set once per pool
+# worker process by _init_worker; the parent never fills it.
+_WORKER_DATA: dict = {}
+
+
+def _init_worker(sims, graphs: Mapping[float, NeighborhoodGraph]) -> None:
+    _WORKER_DATA["sims"] = sims
+    _WORKER_DATA["graphs"] = graphs
+
+
 def _grid_worker(payload) -> GridResult:
-    sims, graph, config = payload
-    return evaluate_config(sims, graph, config)
+    """Evaluate one (delta, config) grid point in a pool worker."""
+    delta, config = payload
+    return evaluate_config(
+        _WORKER_DATA["sims"], _WORKER_DATA["graphs"][delta], config
+    )
 
 
 def grid_search(
@@ -188,13 +201,19 @@ def grid_search(
     configs = [
         config_for_grid_point(base_config, lam, delta) for lam, delta in points
     ]
-    payloads = [(sims, graphs[delta], cfg) for (_, delta), cfg in zip(points, configs)]
     results: list[GridResult] = []
     failures: list[tuple[float, float, str]] = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Each worker receives the data once, through its initializer;
+        # the per-point payload is only (delta, config).
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(sims, graphs)
+        ) as pool:
             outcomes = []
-            futures = [pool.submit(_grid_worker, p) for p in payloads]
+            futures = [
+                pool.submit(_grid_worker, (delta, cfg))
+                for (_, delta), cfg in zip(points, configs)
+            ]
             for fut, (lam, delta) in zip(futures, points):
                 try:
                     outcomes.append(fut.result())
@@ -203,9 +222,9 @@ def grid_search(
         for out in outcomes:
             (failures if isinstance(out, tuple) else results).append(out)
     else:
-        for payload, (lam, delta) in zip(payloads, points):
+        for (lam, delta), cfg in zip(points, configs):
             try:
-                results.append(_grid_worker(payload))
+                results.append(evaluate_config(sims, graphs[delta], cfg))
             except Exception as exc:  # noqa: BLE001 - per-point isolation
                 failures.append((lam, delta, f"{type(exc).__name__}: {exc}"))
     if not results:

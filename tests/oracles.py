@@ -388,14 +388,25 @@ def morans_i_direct(x: np.ndarray, W: np.ndarray) -> float:
     return n / W.sum() * num / den
 
 
-def dahl_exhaustive(label_list) -> int:
-    """Index minimizing the squared distance to the mean co-membership."""
+def dahl_distances_dense(label_list) -> np.ndarray:
+    """M^2 times each sample's squared distance to the mean co-membership.
+
+    Builds every n x n co-membership matrix and sums (M B_s - sum_t B_t)^2
+    in integers, so exact ties stay ties.
+    """
     mats = []
     for labels in label_list:
         labels = np.asarray(labels)
-        mats.append((labels[:, None] == labels[None, :]).astype(float))
-    bbar = sum(mats) / len(mats)
-    dists = [float(((B - bbar) ** 2).sum()) for B in mats]
+        mats.append((labels[:, None] == labels[None, :]).astype(np.int64))
+    total = sum(mats)
+    m = len(mats)
+    return np.array([int(((m * B - total) ** 2).sum()) for B in mats])
+
+
+def dahl_exhaustive(label_list) -> int:
+    """Index minimizing the squared distance to the mean co-membership;
+    exact ties go to the smallest index."""
+    dists = dahl_distances_dense(label_list)
     best = 0
     for t in range(1, len(dists)):
         if dists[t] < dists[best]:

@@ -58,6 +58,15 @@ class TestEmpiricalPrior:
         with pytest.raises(ValueError):
             NormalGammaPrior(0.0, 0.0, k0=-1.0)
 
+    def test_offdiag_mean_matches_triangle_index(self):
+        rng = np.random.default_rng(17)
+        A = rng.normal(0.4, 1.0, size=(57, 57))
+        A = (A + A.T) / 2
+        prior = empirical_prior(A)
+        iu = np.triu_indices(57, k=1)
+        np.testing.assert_allclose(prior.mu0_offdiag, A[iu].mean(), rtol=1e-12)
+        np.testing.assert_allclose(prior.mu0_diag, np.diag(A).mean(), rtol=1e-12)
+
 
 class TestBlockStats:
     def test_single_domain_constant_offdiag(self):

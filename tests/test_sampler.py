@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import cell_fit_scores_dense, full_conditional_oracle
-from spatialsbm.likelihood import empirical_prior, prior_block_params
+from spatialsbm.errors import NumericError
+from spatialsbm.likelihood import block_stats, empirical_prior, prior_block_params
 from spatialsbm.partition import Partition
 from spatialsbm.sampler import (
     ChainSample,
@@ -292,6 +293,70 @@ class TestReseed:
             expected = cell_fit_scores_dense(s.sims, s.weights, s.labels, s.params)
             assert np.allclose(s._cell_fit_scores(), expected, rtol=1e-12, atol=0.0)
             s.reseed_small_domains()
+
+
+class TestNonFiniteTerms:
+    def test_zero_precision_raises_numeric_error(self):
+        A, graph = toy_problem(n=6, seed=5)
+        labels = np.array([1, 1, 2, 2, 2, 1])
+        cfg = FitConfig(lam=0.3, n_iterations=2, n_burnin=1, seed=1)
+        prior = empirical_prior(A)
+        params = prior_block_params(prior, 2, np.random.default_rng(0))
+        params.precisions[0, 1] = params.precisions[1, 0] = 0.0
+        with np.errstate(divide="ignore"), pytest.raises(
+            NumericError, match=r"domain pairs \[\(0, 1\), \(1, 0\)\]"
+        ):
+            GibbsSampler([A], graph, cfg, labels=labels, params=[params])
+
+
+class TestMaintainedSums:
+    def test_sums_and_block_stats_track_the_partition(self, monkeypatch):
+        """H1, H2, NB and the block statistics stay equal to their direct
+        formulas through warm-up reseeds, purges and new domains."""
+        spec = SyntheticSpec(grid_side=8, k_true=3, mu_within=0.8,
+                             mu_between=0.0, precision=4.0, seed=5, n_modalities=2)
+        sims, coords, _ = generate_spatial_sbm(spec)
+        graph = build_neighborhood(coords, 1.0)
+        cfg = FitConfig(lam=0.5, weights=(1.0, 0.0), n_iterations=2, n_burnin=1,
+                        seed=3, init_k=8)
+        events = {"_grow": 0, "_purge": 0, "reseed": 0}
+        for name in ("_grow", "_purge"):
+            original = getattr(GibbsSampler, name)
+
+            def counted(self, *args, _f=original, _name=name):
+                events[_name] += 1
+                return _f(self, *args)
+
+            monkeypatch.setattr(GibbsSampler, name, counted)
+        s = GibbsSampler(sims, graph, cfg)
+        s.refit_params()
+
+        def check():
+            for m, A in enumerate(s.sims):
+                np.testing.assert_allclose(s.H1[m], s.GT @ A, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(s.H2[m], s.GT @ (A * A), rtol=0, atol=1e-9)
+                got = s._current_stats()[0][m]
+                want = block_stats(A, s.labels, s.n_domains)
+                assert np.array_equal(got.count, want.count)
+                # Rounding of the sums scales with the entries, not with
+                # a block mean near 0 or an sse that cancels to 0 (a
+                # one-pair block), hence the absolute floors.
+                np.testing.assert_allclose(
+                    got.mean, want.mean, rtol=1e-12, atol=1e-12 * np.abs(A).max()
+                )
+                floor = 1e-12 * (want.sse + want.count * want.mean**2).max()
+                np.testing.assert_allclose(got.sse, want.sse, rtol=1e-12, atol=floor)
+            np.testing.assert_allclose(s.NB, s.GT @ graph.adjacency, rtol=0, atol=1e-9)
+            assert np.array_equal(s.GT, np.eye(s.n_domains)[:, s.z])
+
+        for it in range(200):
+            warm = it < 30
+            s.sweep(allow_new=not warm)
+            check()
+            if warm and s.reseed_small_domains():
+                events["reseed"] += 1
+                check()
+        assert min(events.values()) > 0, events
 
 
 class TestSeedDerivation:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import dahl_exhaustive
+from oracles import dahl_distances_dense, dahl_exhaustive
+from spatialsbm import summary as summary_module
+from spatialsbm.partition import Partition
 from spatialsbm.sampler import ChainSample
 from spatialsbm.summary import (
     comembership,
+    dahl_index,
     dahl_select,
     mean_comembership,
     summarize_chain,
@@ -153,3 +156,73 @@ class TestSummarizeChain:
         samples = [ChainSample(labels=labels.copy()) for _ in range(4)]
         summ = summarize_chain(samples)
         assert np.allclose(summ.uncertainty, 0.0)
+
+
+def perturbed_samples(rng, n, m, k):
+    """m contiguous label vectors: random flips of one base partition,
+    with repeats and relabelled copies so distances tie exactly."""
+    base = rng.integers(1, k + 1, size=n)
+    out = []
+    for _ in range(m):
+        r = rng.random()
+        earlier = out[int(rng.integers(0, len(out)))] if out else None
+        if out and r < 0.25:
+            labels = earlier.copy()
+        elif out and r < 0.4:
+            labels = earlier.max() + 1 - earlier
+        else:
+            labels = base.copy()
+            flip = rng.random(n) < 0.3
+            labels[flip] = rng.integers(1, k + 1, size=int(flip.sum()))
+        out.append(Partition.from_raw(labels).labels)
+    return out
+
+
+class TestContingencySummary:
+    def test_dahl_index_matches_dense_oracle_with_ties(self):
+        rng = np.random.default_rng(21)
+        tied = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 30))
+            m = int(rng.integers(2, 12))
+            samples = perturbed_samples(rng, n, m, int(rng.integers(2, 5)))
+            dist = dahl_distances_dense(samples)
+            best = dist == dist.min()
+            tied += int(best.sum() > 1)
+            want = int(np.flatnonzero(best)[0])
+            assert dahl_index(samples) == want
+            assert dahl_select(samples)[0] == want
+            assert summarize_chain(samples).dahl_index == want
+        assert tied >= 20  # the instances really exercise exact ties
+
+    def test_one_table_per_batch_gives_the_same_index(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        cases = [perturbed_samples(rng, 20, 10, 4) for _ in range(20)]
+        want = [dahl_index(samples) for samples in cases]
+        monkeypatch.setattr(summary_module, "_TABLE_ENTRIES", 1)
+        assert [dahl_index(samples) for samples in cases] == want
+        assert want == [dahl_exhaustive(samples) for samples in cases]
+
+    def test_uncertainty_matches_dense_matrix(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n = int(rng.integers(4, 40))
+            samples = perturbed_samples(rng, n, int(rng.integers(1, 10)),
+                                        int(rng.integers(2, 6)))
+            summ = summarize_chain([ChainSample(labels=s) for s in samples])
+            dense = uncertainty_scores(mean_comembership(samples), summ.labels)
+            np.testing.assert_allclose(summ.uncertainty, dense.uncertainty,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(summ.affinity_assigned, dense.affinity_assigned,
+                                       rtol=0, atol=1e-12)
+            assert np.array_equal(summ.singleton_cells, dense.singleton_cells)
+
+    def test_lazy_mean_comembership_equals_eager_matrix(self):
+        rng = np.random.default_rng(4)
+        samples = perturbed_samples(rng, 25, 9, 3)
+        summ = summarize_chain([ChainSample(labels=s) for s in samples])
+        eager = comembership(samples[0])
+        for labels in samples[1:]:
+            eager += comembership(labels)
+        eager /= len(samples)
+        assert np.array_equal(summ.mean_comembership, eager)
