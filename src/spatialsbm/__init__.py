@@ -44,9 +44,6 @@ from .partition_prior import (
     MfmPrior,
     lambda_critical,
     log_vn_table,
-    mrf_log_reward,
-    urn_log_weight_existing,
-    urn_log_weight_new,
 )
 from .sampler import ChainSample, FitConfig, GibbsSampler, init_chain, run_chain
 from .selection import GridResult, GridSpec, build_grid, evaluate_config, grid_search, mdic
@@ -114,7 +111,6 @@ __all__ = [
     "mdic",
     "mean_comembership",
     "morans_i",
-    "mrf_log_reward",
     "new_domain_marginal",
     "nmi_ami_homogeneity",
     "posterior_hyperparams",
@@ -125,6 +121,4 @@ __all__ = [
     "standardize_cells",
     "summarize_chain",
     "uncertainty_scores",
-    "urn_log_weight_existing",
-    "urn_log_weight_new",
 ]

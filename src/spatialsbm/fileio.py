@@ -186,11 +186,12 @@ def read_similarity_binary(path) -> np.ndarray:
 
 def write_edge_list(path, graph) -> None:
     """Undirected edge list (i < j) of a neighborhood graph, one pair per line."""
-    W = graph.adjacency
-    i, j = np.nonzero(np.triu(W, k=1))
+    W = graph.W
+    i = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+    upper = W.indices > i
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("i\tj\n")
-        for a, b in zip(i, j):
+        for a, b in zip(i[upper], W.indices[upper]):
             fh.write(f"{int(a)}\t{int(b)}\n")
 
 

@@ -224,7 +224,7 @@ def morans_i(
     G = one_hot(z, K)
     occ = G.sum(axis=0)
     Xc = G - occ / n
-    num = ((graph.adjacency @ Xc) * Xc).sum(axis=0)
+    num = ((graph.W @ Xc) * Xc).sum(axis=0)
     den = (Xc * Xc).sum(axis=0)
     ok = den > 0
     i_c = np.where(ok, (n / sw) * num / np.where(ok, den, 1.0), 0.0)

@@ -8,7 +8,8 @@ The component-count prior is a zero-truncated Poisson(1).  The coefficient
 is tabulated in log space; its ratio V_n(t+1)/V_n(t) < 1 is what makes
 opening a new domain progressively harder.  The spatial reward adds
 ``lam`` per neighbor sharing the candidate label and is zero for a brand
-new domain.
+new domain; the sampler scores it from its maintained neighbour counts,
+and this module gives the ordering threshold used to bound ``lam``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import NumericError
-from .partition import as_labels
 from .similarity import NeighborhoodGraph
 
 # log(1 - exp(-1)): normalizer of the zero-truncated Poisson(1) pmf
@@ -129,35 +129,6 @@ class MfmPrior:
             + self.log_vn_at(k_star + 1)
             - self.log_vn_at(k_star)
         )
-
-
-def urn_log_weight_existing(n_c_minus_i: float, gamma: float) -> float:
-    """log(n_c + gamma) for an existing domain with n_c members (cell removed)."""
-    if n_c_minus_i < 1:
-        raise ValueError("existing domains must have at least one member")
-    return math.log(n_c_minus_i + gamma)
-
-
-def urn_log_weight_new(k_star: int, mfm: MfmPrior) -> float:
-    """Log urn weight of opening a new domain when K* domains are active."""
-    return mfm.log_new_weight(k_star)
-
-
-def mrf_log_reward(
-    labels, graph: NeighborhoodGraph, i: int, c: int, lam: float
-) -> float:
-    """lam times the number of neighbors of cell i currently labeled c.
-
-    A label c beyond the active range (a new domain) has no neighbors by
-    construction, so the reward is zero there.
-    """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    labels = as_labels(labels)
-    nbrs = graph.neighbor_lists[i]
-    if nbrs.size == 0:
-        return 0.0
-    return float(lam * np.count_nonzero(labels[nbrs] == c))
 
 
 def lambda_critical(k: int, graph: NeighborhoodGraph) -> float:

@@ -27,18 +27,18 @@ recorded samples always come from the full kernel.
 
 The hot loop works on maintained sums instead of similarity rows.  The
 sampler keeps, per modality m, the cell-by-domain sums H1[m] = GT @ A_m
-and H2[m] = GT @ (A_m * A_m), and the neighbour counts NB = GT @
-adjacency, where GT is the K x n one-hot indicator of the partition;
-all three live in one stacked (2M + 1, K, n) array.  A label update
-reads cell i's column of that array (minus the cell's own diagonal term
-in the domain it was detached from) and scores every candidate with one
-matrix-vector product over that column and the occupancies, O(M K^2)
-per update.  Only a cell that actually changes label costs O(M n): its
-rows A_m[i], A_m[i]^2 and adjacency[i] (the dense form of
-graph.neighbor_lists[i]) are subtracted from the old domain's sums and
-added to the new one's.  Opening a domain appends a zero row and
-removing one deletes its row, so the sums are exact bookkeeping with no
-periodic recompute.  Block statistics per sweep come from H @ GT.T in
+and H2[m] = GT @ (A_m * A_m), and the neighbour counts NB = GT @ W,
+where GT is the K x n one-hot indicator of the partition and W the
+graph's sparse adjacency; all three live in one stacked (2M + 1, K, n)
+array.  A label update reads cell i's column of that array (minus the
+cell's own diagonal term in the domain it was detached from) and scores
+every candidate with one matrix-vector product over that column and the
+occupancies, O(M K^2) per update.  Only a cell that actually changes
+label costs O(M n): its rows A_m[i] and A_m[i]^2 move from the old
+domain's sums to the new one's, and NB changes by one at the cell's
+neighbours (its CSR index slice).  Opening a domain appends a zero row
+and removing one deletes its row, so the sums are exact bookkeeping with
+no periodic recompute.  Block statistics per sweep come from H @ GT.T in
 O(M n K^2), and the warm-start reseed scores cells from the same sums.
 """
 
@@ -212,13 +212,13 @@ class GibbsSampler:
         self.params = [p.copy() for p in params]
 
         # GT[c, i] = 1 iff z_i = c, and the maintained cell-by-domain sums
-        # H[2m] = GT @ A_m, H[2m + 1] = GT @ (A_m * A_m), H[-1] = GT @
-        # adjacency (see the module docstring).
+        # H[2m] = GT @ A_m, H[2m + 1] = GT @ (A_m * A_m), H[-1] = GT @ W
+        # (see the module docstring).
         self.GT = np.zeros((self.n_domains, n))
         self.GT[self.z, np.arange(n)] = 1.0
         self.H = np.stack(
             [self.GT @ X for A in self.sims for X in (A, A * A)]
-            + [self.GT @ graph.adjacency]
+            + [(graph.W @ self.GT.T).T]
         )
         self.occ = self.GT.sum(axis=1)
         self._lgocc = np.log(self.occ + config.gamma)
@@ -333,15 +333,17 @@ class GibbsSampler:
         removed its contribution along with the domain's row.
         Occupancies are the caller's business.
         """
-        rows = np.empty((self.H.shape[0], self.n))
+        rows = np.empty((self.H.shape[0] - 1, self.n))
         for m, A in enumerate(self.sims):
             rows[2 * m] = A[i]
             np.multiply(A[i], A[i], out=rows[2 * m + 1])
-        rows[-1] = self.graph.adjacency[i]
+        nbrs = self.graph.neighbors(i)
         if old >= 0:
-            self.H[:, old] -= rows
+            self.H[:-1, old] -= rows
+            self.H[-1, old, nbrs] -= 1.0
             self.GT[old, i] = 0.0
-        self.H[:, new] += rows
+        self.H[:-1, new] += rows
+        self.H[-1, new, nbrs] += 1.0
         self.GT[new, i] = 1.0
         self.z[i] = new
 
@@ -355,7 +357,7 @@ class GibbsSampler:
         (-1 if that domain was purged).
 
         The sums H still count cell i in ``old``; only its own diagonal
-        entries need taking out, since adjacency has a zero diagonal.
+        entries need taking out, since W has a zero diagonal.
         """
         K = self.n_domains
         R = self.H.shape[0]

@@ -3,95 +3,123 @@
 These two structures are the only inputs the generative model sees: a
 per-modality Fisher-Z transformed similarity matrix (diagonal retained,
 it feeds the new-domain proposal) and a binary adjacency graph over the
-tissue coordinates.
+tissue coordinates, stored as one sparse CSR matrix.  The similarity
+checks run in blocks of rows and build no n x n temporary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy import sparse
+from scipy.spatial import cKDTree
 
 from .errors import DataError
 from .features import Embedding
 
 FISHER_CLIP = 0.9999
 FISHER_BOUND = float(np.arctanh(FISHER_CLIP))
+# Rows per block of the similarity checks: 256 rows of a 4,356-cell
+# matrix are 9 MB per temporary.
+ROW_BLOCK = 256
 
 
-def cosine_similarity(emb: Embedding | np.ndarray, validate: bool = True) -> np.ndarray:
+def cosine_similarity(emb: Embedding | np.ndarray) -> np.ndarray:
     """Scaled dot-product similarity of standardized embedding rows.
 
-    R[i, j] = row_i . row_j / d, diagonal included.  Rows are expected to
-    be cell-wise z-scored (zero rows from degenerate cells are allowed).
+    R[i, j] = row_i . row_j / d, diagonal included.  Rows must be
+    cell-wise z-scored (zero rows from degenerate cells are allowed).
+    ``E @ E.T`` is one symmetric product, so R is exactly symmetric.
     """
     E = emb.values if isinstance(emb, Embedding) else np.asarray(emb, dtype=float)
     n, d = E.shape
-    if validate:
-        mu = E.mean(axis=1)
-        sd = E.std(axis=1, ddof=1)
-        bad = (np.abs(mu) > 1e-6) | ((np.abs(sd - 1.0) > 1e-6) & (sd != 0.0))
-        if bad.any():
-            raise ValueError(
-                f"embedding row {int(np.flatnonzero(bad)[0])} is not cell-standardized"
-            )
-    R = (E @ E.T) / d
-    return (R + R.T) / 2.0
+    mu = E.mean(axis=1)
+    sd = E.std(axis=1, ddof=1)
+    bad = (np.abs(mu) > 1e-6) | ((np.abs(sd - 1.0) > 1e-6) & (sd != 0.0))
+    if bad.any():
+        raise ValueError(
+            f"embedding row {int(np.flatnonzero(bad)[0])} is not cell-standardized"
+        )
+    R = E @ E.T
+    R /= d
+    return R
+
+
+def _check_finite_symmetric(A: np.ndarray) -> float:
+    """Raise DataError unless A is square, finite (checked first; the first
+    bad pair in row-major order is named) and ``np.allclose(A, A.T,
+    atol=1e-12)``, in blocks of ROW_BLOCK rows.  Returns max |A|."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DataError("similarity matrix must be square")
+    top = 0.0
+    for s in range(0, len(A), ROW_BLOCK):
+        # max propagates nan, so a finite block maximum means a finite block.
+        m = float(np.abs(A[s : s + ROW_BLOCK]).max())
+        if not np.isfinite(m):
+            i, j = np.argwhere(~np.isfinite(A[s : s + ROW_BLOCK]))[0]
+            raise DataError(f"non-finite similarity at cell pair ({int(s + i)}, {int(j)})")
+        top = max(top, m)
+    for s in range(0, len(A), ROW_BLOCK):
+        rows = A[s : s + ROW_BLOCK]
+        cols = A[:, s : s + ROW_BLOCK].T
+        if not (np.abs(rows - cols) <= 1e-12 + 1e-5 * np.abs(cols)).all():
+            raise DataError("similarity matrix is not symmetric")
+    return top
 
 
 def fisher_z(R: np.ndarray, clip: float = FISHER_CLIP) -> np.ndarray:
     """arctanh of similarities clipped to (-clip, clip); diagonal retained."""
     R = np.asarray(R, dtype=float)
-    if not np.isfinite(R).all():
-        i, j = np.argwhere(~np.isfinite(R))[0]
-        raise DataError(f"non-finite similarity at cell pair ({int(i)}, {int(j)})")
-    if not np.allclose(R, R.T, atol=1e-12):
-        raise DataError("similarity matrix is not symmetric")
-    return np.arctanh(np.clip(R, -clip, clip))
+    _check_finite_symmetric(R)
+    Z = np.clip(R, -clip, clip)
+    return np.arctanh(Z, out=Z)
 
 
 def check_similarity_matrix(A: np.ndarray) -> np.ndarray:
     """Validate a Fisher-Z similarity matrix (finite, symmetric, bounded)."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DataError("similarity matrix must be square")
-    if not np.isfinite(A).all():
-        i, j = np.argwhere(~np.isfinite(A))[0]
-        raise DataError(f"non-finite similarity at cell pair ({int(i)}, {int(j)})")
-    if not np.allclose(A, A.T, atol=1e-12):
-        raise DataError("similarity matrix is not symmetric")
-    if np.abs(A).max() > FISHER_BOUND + 1e-9:
+    if _check_finite_symmetric(A) > FISHER_BOUND + 1e-9:
         raise DataError("similarity entries exceed the Fisher-Z clipping bound")
     return A
 
 
 @dataclass
 class NeighborhoodGraph:
-    """Binary spatial adjacency with neighbor lists and the radius used."""
+    """Binary spatial adjacency ``W`` and the radius it was built with.
 
-    adjacency: np.ndarray
+    ``W`` is an n x n CSR matrix with 1.0 at (i, j) iff distinct cells i
+    and j are neighbours, and sorted indices.  ``adjacency`` (an O(n^2)
+    dense copy built on each access) and ``neighbor_lists`` are derived
+    read-only views that the package itself does not use.
+    """
+
+    W: sparse.csr_array
     delta: float
-    neighbor_lists: list[np.ndarray] = field(repr=False, default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.adjacency = np.asarray(self.adjacency, dtype=float)
-        if not self.neighbor_lists:
-            self.neighbor_lists = [
-                np.flatnonzero(self.adjacency[i]) for i in range(self.n_cells)
-            ]
 
     @property
     def n_cells(self) -> int:
-        return self.adjacency.shape[0]
+        return self.W.shape[0]
 
     @property
     def total_weight(self) -> float:
-        return float(self.adjacency.sum())
+        return float(self.W.nnz)
 
     @property
     def avg_degree(self) -> float:
         return self.total_weight / self.n_cells
+
+    def neighbors(self, i: int) -> np.ndarray:
+        """Sorted neighbour indices of cell i (a view into ``W.indices``)."""
+        return self.W.indices[self.W.indptr[i] : self.W.indptr[i + 1]]
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        return self.W.toarray()
+
+    @property
+    def neighbor_lists(self) -> list[np.ndarray]:
+        return [self.neighbors(i) for i in range(self.n_cells)]
 
 
 def build_neighborhood(coords: np.ndarray, delta: float) -> NeighborhoodGraph:
@@ -107,6 +135,10 @@ def build_neighborhood(coords: np.ndarray, delta: float) -> NeighborhoodGraph:
         raise DataError("coordinates must be an n x 2 array")
     if not np.isfinite(P).all():
         raise DataError("coordinates contain non-finite entries")
-    W = (cdist(P, P, "sqeuclidean") <= delta * delta).astype(float)
-    np.fill_diagonal(W, 0.0)
-    return NeighborhoodGraph(adjacency=W, delta=float(delta))
+    # The margin covers the tree's rounding; the exact rule is the next line.
+    i, j = cKDTree(P).query_pairs(delta * (1 + 1e-9), output_type="ndarray").T
+    keep = ((P[i] - P[j]) ** 2).sum(axis=1) <= delta * delta
+    i, j = i[keep], j[keep]
+    W = sparse.csr_array((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(len(P), len(P)))
+    W.sort_indices()
+    return NeighborhoodGraph(W=W, delta=float(delta))

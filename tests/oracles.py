@@ -42,6 +42,46 @@ def match_up_to_sign(A: np.ndarray, B: np.ndarray, atol: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# pair-loop oracle for the neighbourhood graph
+
+
+def edge_pairs_loop(coords: np.ndarray, delta: float) -> list[tuple[int, int]]:
+    """Every pair i < j with dx^2 + dy^2 <= delta^2, in row-major order."""
+    P = np.asarray(coords, dtype=float)
+    pairs = []
+    for i in range(len(P)):
+        for j in range(i + 1, len(P)):
+            dx = float(P[i, 0] - P[j, 0])
+            dy = float(P[i, 1] - P[j, 1])
+            if dx * dx + dy * dy <= delta * delta:
+                pairs.append((i, j))
+    return pairs
+
+
+# ---------------------------------------------------------------------------
+# urn and spatial-reward terms of the label conditional, one at a time
+
+
+def urn_log_weight_existing(n_c_minus_i: float, gamma: float) -> float:
+    """log(n_c + gamma) for an existing domain with n_c members (cell removed)."""
+    if n_c_minus_i < 1:
+        raise ValueError("existing domains must have at least one member")
+    return math.log(n_c_minus_i + gamma)
+
+
+def urn_log_weight_new(k_star: int, mfm) -> float:
+    """Log urn weight of opening a new domain when K* domains are active."""
+    return mfm.log_new_weight(k_star)
+
+
+def mrf_log_reward(labels, graph, i: int, c: int, lam: float) -> float:
+    """lam times the number of neighbours of cell i labelled c, read from
+    the dense adjacency row (zero for a new domain's label)."""
+    row = graph.W.toarray()[i]
+    return float(lam * sum(1 for j in np.flatnonzero(row) if labels[j] == c))
+
+
+# ---------------------------------------------------------------------------
 # pair-enumeration oracle for block statistics
 
 
@@ -236,7 +276,7 @@ def full_conditional_oracle(
                 mu = params.means[c - 1, labels[j] - 1]
                 ell += 0.5 * math.log(tau) - 0.5 * tau * (A[i, j] - mu) ** 2
             w += alpha_m * ell
-        nbrs = graph.neighbor_lists[i]
+        nbrs = graph.neighbors(i)
         w += lam * sum(1 for j in nbrs if labels[j] == c)
         w += math.log(occ[c - 1] + gamma)
         out.append(w)

@@ -307,7 +307,7 @@ class TestC09MetricConformance:
         got_i = ss.morans_i(labels, graph)
         occ = np.bincount(labels, minlength=3)[1:]
         expected_i = sum(
-            occ[c - 1] / 16 * morans_i_direct((labels == c).astype(float), graph.adjacency)
+            occ[c - 1] / 16 * morans_i_direct((labels == c).astype(float), graph.W.toarray())
             for c in (1, 2)
         )
         moran_err = abs(got_i - expected_i)

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 import spatialsbm as ss
+from oracles import edge_pairs_loop
 from spatialsbm.cli import main
 from spatialsbm.fileio import (
+    default_cell_ids,
     read_json,
     read_labels_tsv,
     read_matrix_csv,
+    read_similarity_binary,
+    write_coordinates_csv,
     write_matrix_csv,
+    write_similarity_binary,
 )
 
 
@@ -88,6 +93,30 @@ class TestPreprocess:
         assert np.abs(out.std(axis=1, ddof=1) - 1).max() < 1e-9
         assert (tmp_path / "pca_similarity.bin").exists()
 
+    def test_graph_edges_match_pair_loop_oracle(self, tmp_path):
+        rng = np.random.default_rng(4)
+        side = 7
+        idx = np.arange(side * side)
+        coords = np.column_stack([idx % side, idx // side]) + rng.uniform(
+            -0.2, 0.2, size=(side * side, 2)
+        )
+        coords[10] = coords[3]
+        coords[20], coords[21] = [50.0, 50.0], [51.25, 50.0]
+        write_coordinates_csv(tmp_path / "coords.csv", default_cell_ids(len(coords)), coords)
+        write_matrix_csv(tmp_path / "emb.csv", rng.normal(size=(len(coords), 5)))
+        code = run_cli(
+            "preprocess", "--embedding", f"pca={tmp_path/'emb.csv'}",
+            "--coords", tmp_path / "coords.csv", "--delta", 1.25,
+            "--out-dir", tmp_path,
+        )
+        assert code == 0
+        lines = (tmp_path / "graph_edges.tsv").read_text().splitlines()
+        assert lines[0] == "i\tj"
+        got = [tuple(int(v) for v in line.split("\t")) for line in lines[1:]]
+        want = edge_pairs_loop(coords, 1.25)
+        assert (3, 10) in want and (20, 21) in want
+        assert got == want
+
     def test_malformed_csv_exits_3(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("1.0,2.0\n3.0,zzz\n")
         code = run_cli(
@@ -163,6 +192,20 @@ class TestFit:
             "--out-dir", tmp_path,
         )
         assert code == 3
+
+    def test_asymmetric_similarity_exits_3(self, sim_dir, tmp_path, capsys):
+        A = read_similarity_binary(sim_dir / "similarity_m0.bin")
+        A[-2, -1] += 0.01
+        write_similarity_binary(tmp_path / "asym.bin", A)
+        code = run_cli(
+            "fit",
+            "--similarity", f"m0={tmp_path/'asym.bin'}",
+            "--coords", sim_dir / "coords.csv",
+            "--iterations", 10, "--burnin", 5,
+            "--out-dir", tmp_path / "fit",
+        )
+        assert code == 3
+        assert "not symmetric" in capsys.readouterr().err
 
     def test_numeric_failure_exits_4(self, sim_dir, tmp_path, monkeypatch):
         import spatialsbm.cli as cli_mod

@@ -157,7 +157,7 @@ class TestMoransI:
         expected = 0.0
         for c in (1, 2):
             x = (labels == c).astype(float)
-            expected += 0.5 * morans_i_direct(x, graph.adjacency)
+            expected += 0.5 * morans_i_direct(x, graph.W.toarray())
         assert got == pytest.approx(expected, abs=1e-12)
         assert got > 0.7
 
@@ -170,7 +170,7 @@ class TestMoransI:
         assert got == pytest.approx(-1.0, abs=1e-12)
         for c in (1, 2):
             x = (labels == c).astype(float)
-            assert morans_i_direct(x, graph.adjacency) == pytest.approx(-1.0, abs=1e-12)
+            assert morans_i_direct(x, graph.W.toarray()) == pytest.approx(-1.0, abs=1e-12)
 
     def test_single_domain_zero_variance(self):
         graph = build_neighborhood(grid_coords(3), 1.0)
@@ -199,7 +199,7 @@ class TestMoransI:
             got = morans_i(labels, graph)
             occ = np.bincount(labels, minlength=4)[1:]
             expected = sum(
-                occ[c - 1] / 25 * morans_i_direct((labels == c).astype(float), graph.adjacency)
+                occ[c - 1] / 25 * morans_i_direct((labels == c).astype(float), graph.W.toarray())
                 for c in (1, 2, 3)
             )
             assert got == pytest.approx(expected, abs=1e-12)

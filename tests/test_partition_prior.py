@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import log_vn_mpmath
+from oracles import (
+    log_vn_mpmath,
+    mrf_log_reward,
+    urn_log_weight_existing,
+    urn_log_weight_new,
+)
 from spatialsbm.partition_prior import (
     MfmPrior,
     lambda_critical,
     log_truncated_poisson1,
     log_vn_entry,
     log_vn_table,
-    mrf_log_reward,
-    urn_log_weight_existing,
-    urn_log_weight_new,
 )
 from spatialsbm.similarity import build_neighborhood
 
@@ -143,7 +145,7 @@ class TestLambdaCritical:
 
         class FakeGraph:
             avg_degree = 4.0
-            adjacency = g.adjacency
+            W = g.W
 
         assert lambda_critical(8, FakeGraph()) == pytest.approx(2.0)
 

@@ -119,7 +119,7 @@ class TestLabelUpdate:
         # pick a cell whose neighbors all share its domain
         i = next(
             i for i in range(16)
-            if all(truth[j] == truth[i] for j in graph.neighbor_lists[i])
+            if all(truth[j] == truth[i] for j in graph.neighbors(i))
         )
         c_true = truth[i]
         w = s.label_update(i, return_weights=True)
@@ -346,7 +346,7 @@ class TestMaintainedSums:
                 )
                 floor = 1e-12 * (want.sse + want.count * want.mean**2).max()
                 np.testing.assert_allclose(got.sse, want.sse, rtol=1e-12, atol=floor)
-            np.testing.assert_allclose(s.NB, s.GT @ graph.adjacency, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(s.NB, s.GT @ graph.W.toarray(), rtol=0, atol=1e-9)
             assert np.array_equal(s.GT, np.eye(s.n_domains)[:, s.z])
 
         for it in range(200):
