@@ -23,11 +23,9 @@ from .likelihood import (
     BlockStats,
     NormalGammaPrior,
     block_stats,
-    cell_conditional_loglik,
     empirical_prior,
     full_deviance,
     new_domain_marginal,
-    posterior_hyperparams,
     resample_block_params,
 )
 from .metrics import (
@@ -92,7 +90,6 @@ __all__ = [
     "block_stats",
     "build_grid",
     "build_neighborhood",
-    "cell_conditional_loglik",
     "comembership",
     "cosine_similarity",
     "dahl_index",
@@ -113,7 +110,6 @@ __all__ = [
     "morans_i",
     "new_domain_marginal",
     "nmi_ami_homogeneity",
-    "posterior_hyperparams",
     "resample_block_params",
     "rna_frontend",
     "run_chain",

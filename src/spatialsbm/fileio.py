@@ -172,16 +172,18 @@ def write_similarity_binary(path, A: np.ndarray) -> None:
 
 def read_similarity_binary(path) -> np.ndarray:
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < 16 or blob[:8] != SIMILARITY_MAGIC:
+    with path.open("rb") as fh:
+        header = fh.read(16)
+    if len(header) < 16 or header[:8] != SIMILARITY_MAGIC:
         raise InputFormatError(f"{path}: not a similarity cache (bad magic)")
-    (n,) = struct.unpack("<Q", blob[8:16])
+    (n,) = struct.unpack("<Q", header[8:16])
     expected = 16 + 8 * n * n
-    if len(blob) != expected:
+    size = path.stat().st_size
+    if size != expected:
         raise InputFormatError(
-            f"{path}: expected {expected} bytes for n={n}, found {len(blob)}"
+            f"{path}: expected {expected} bytes for n={n}, found {size}"
         )
-    return np.frombuffer(blob, dtype="<f8", offset=16).reshape(n, n).copy()
+    return np.fromfile(path, dtype="<f8", offset=16).reshape(n, n)
 
 
 def write_edge_list(path, graph) -> None:

@@ -3,8 +3,7 @@
 Each similarity entry A[i, j] is modeled as Normal(mu[z_i, z_j],
 1 / tau[z_i, z_j]) with a Normal-Gamma conjugate prior on every block's
 (mean, precision) pair.  This module provides block sufficient
-statistics, conjugate posterior updates and draws, the per-cell
-conditional log-likelihood used by the label sampler, the closed-form
+statistics, conjugate posterior updates and draws, the closed-form
 marginal likelihood backing new-domain proposals, and full-model
 deviance.
 
@@ -16,7 +15,7 @@ label vector in O(n^2 K); the Gibbs sampler keeps the cell-by-domain
 sums G' A and G' (A * A) up to date as cells move and gets the same
 block sums from them in O(n K^2).
 
-The per-cell conditional and the new-domain marginal both omit the
+The new-domain marginal, like the sampler's label weights, omits the
 Gaussian -log(2*pi)/2 per-observation constant.  The deviance carries the
 full normalizing constant and includes the diagonal, so its observation
 count is n (n + 1) / 2.
@@ -165,22 +164,6 @@ def block_stats_from_sums(
     return BlockStats(count=count, mean=mean, sse=np.maximum(sse, 0.0))
 
 
-def posterior_hyperparams(
-    count: float,
-    mean: float,
-    sse: float,
-    prior: NormalGammaPrior,
-    within: bool,
-) -> tuple[float, float, float, float]:
-    """Conjugate (k_n, mu_n, alpha_n, beta_n) for one block's statistics."""
-    mu0 = prior.mu0_diag if within else prior.mu0_offdiag
-    kn = prior.k0 + count
-    mun = (prior.k0 * mu0 + count * mean) / kn
-    an = prior.alpha + count / 2.0
-    bn = prior.beta + 0.5 * (sse + count * prior.k0 / kn * (mean - mu0) ** 2)
-    return kn, mun, an, bn
-
-
 def posterior_hyperparams_matrix(
     stats: BlockStats, prior: NormalGammaPrior
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -226,27 +209,6 @@ def prior_block_params(
         count=np.zeros((K, K)), mean=np.zeros((K, K)), sse=np.zeros((K, K))
     )
     return resample_block_params(empty, prior, rng)
-
-
-def cell_conditional_loglik(
-    A: np.ndarray,
-    labels,
-    params: BlockParams,
-    i: int,
-    c: int,
-) -> float:
-    """Log-likelihood of cell i's similarity row under candidate domain c.
-
-    Sums 0.5 log tau[c, z_j] - tau[c, z_j] / 2 * (A[i, j] - mu[c, z_j])^2
-    over every j != i.
-    """
-    labels = as_labels(labels)
-    n = labels.size
-    mask = np.arange(n) != i
-    zj = labels[mask] - 1
-    tau = params.precisions[c - 1, zj]
-    mu = params.means[c - 1, zj]
-    return float(np.sum(0.5 * np.log(tau) - 0.5 * tau * (A[i, mask] - mu) ** 2))
 
 
 def new_domain_marginal(a_ii: float, prior: NormalGammaPrior) -> float:

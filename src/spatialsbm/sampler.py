@@ -40,6 +40,29 @@ neighbours (its CSR index slice).  Opening a domain appends a zero row
 and removing one deletes its row, so the sums are exact bookkeeping with
 no periodic recompute.  Block statistics per sweep come from H @ GT.T in
 O(M n K^2), and the warm-start reseed scores cells from the same sums.
+
+The label pass is an exact sequential scan by the Gumbel-max trick
+(Maddison, Tarlow & Minka 2014): a label update is the argmax of its
+log-weights plus Gumbel noise, and a cell that keeps its label leaves the
+state unchanged.  So the pass scores a block of upcoming cells at once
+under the current state -- one product of the coefficients with their
+stacked columns of H and the occupancies, each cell's own diagonal terms
+and occupancy taken out -- adds noise drawn cell-major in the sizes the
+per-cell loop would draw (K + 1 per cell in the full kernel, K per
+non-singleton cell in the warm start, none for a warm-start singleton),
+and finds the first cell whose choice differs from its label.  The
+cells before it change nothing; that one move is applied, the random
+stream is rewound to the block start and redrawn up to the mover (before
+a new domain draws its parameters), and the scan resumes at the next
+cell.  A full-kernel singleton goes through the scalar update, which
+purges its domain first, and so does the cell right after a block whose
+first cell moved, where moves are dense.  A block is twice as long as
+the run of cells the previous one settled, at most SCAN_BLOCK.  Labels,
+sums, parameters and the random stream follow the per-cell loop; the
+log-weights agree with it up to last-bit rounding (a matrix product in
+place of matrix-vector products), which could matter only at an exact
+tie of noisy weights.  Once cells stop moving, a sweep is a few blocks
+instead of n scalar updates.
 """
 
 from __future__ import annotations
@@ -65,6 +88,9 @@ from .likelihood import (
 from .partition import Partition, relabel_contiguous
 from .partition_prior import MfmPrior
 from .similarity import NeighborhoodGraph, check_similarity_matrix
+
+# Most cells scored per block of the label scan.
+SCAN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -221,7 +247,9 @@ class GibbsSampler:
             + [(graph.W @ self.GT.T).T]
         )
         self.occ = self.GT.sum(axis=1)
-        self._lgocc = np.log(self.occ + config.gamma)
+        # math.log, as label updates write it, so a cell that keeps its
+        # label leaves _lgocc bit-for-bit as it was.
+        self._lgocc = np.array([math.log(o + config.gamma) for o in self.occ.tolist()])
         self._diag = [np.ascontiguousarray(np.diag(A)) for A in self.sims]
         # Cell i's own entries of the H1 / H2 rows: [A_m[i, i], A_m[i, i]^2].
         self._self_terms = np.array([t for d in self._diag for t in (d, d * d)])
@@ -396,26 +424,121 @@ class GibbsSampler:
         old = self.z[i]
         if not allow_new and self.occ[old] == 1.0:
             return None
-        self.occ[old] -= 1.0
-        if self.occ[old] == 0.0:
-            self.z[i] = -1
-            self._purge(old)
-            old = -1
-        else:
-            self._lgocc[old] = math.log(self.occ[old] + self.config.gamma)
-        K = self.n_domains
+        old = self._detach(i)
         buf = self._candidate_log_weights(i, old, include_new=allow_new)
         out = buf.copy() if return_weights else None
         if not allow_new:
             buf = buf - self._lgocc
         c = int((buf + self.rng.gumbel(0.0, 1.0, buf.size)).argmax())
-        if c == K:
+        self._attach(i, old, c)
+        return out
+
+    def _detach(self, i: int) -> int:
+        """Take cell i out of its domain's occupancy; return that domain,
+        or -1 if the cell was its last member and the domain was purged."""
+        old = self.z[i]
+        self.occ[old] -= 1.0
+        if self.occ[old] == 0.0:
+            self.z[i] = -1
+            self._purge(old)
+            return -1
+        self._lgocc[old] = math.log(self.occ[old] + self.config.gamma)
+        return old
+
+    def _attach(self, i: int, old: int, c: int) -> None:
+        """Put the detached cell i into domain c (K means a new domain)."""
+        if c == self.n_domains:
             self._grow()
         if c != old:
             self._move(i, old, c)
         self.occ[c] += 1.0
         self._lgocc[c] = math.log(self.occ[c] + self.config.gamma)
-        return out
+
+    # ----- label pass -------------------------------------------------------
+
+    def _label_pass(self, allow_new: bool) -> None:
+        """Resample every label once, cells 0..n-1 in order.
+
+        Draws the same Gumbel noise and makes the same moves as calling
+        :meth:`label_update` on each cell in turn, but scores blocks of
+        cells at a time (see the module docstring).  Full-kernel
+        singletons, and a cell whose new-domain weight is not finite
+        (which raises there), go through :meth:`label_update`.
+        """
+        i = 0
+        length = SCAN_BLOCK
+        while i < self.n:
+            e, new = i, None
+            if length > 1 and not (allow_new and self.occ[self.z[i]] == 1.0):
+                e = min(i + length, self.n)
+                if allow_new:
+                    new = self._new_const[i:e] + self.mfm.log_new_weight(self.n_domains)
+                    stop = (self.occ[self.z[i:e]] == 1.0) | ~np.isfinite(new)
+                    if stop.any():
+                        e = i + int(stop.argmax())
+                        new = new[: e - i]
+            if e == i:
+                # One scalar update: a full-kernel singleton, whose domain is
+                # purged first; a cell whose new-domain weight is not finite,
+                # where label_update raises; or the cell after a block whose
+                # first cell moved, where moves are too dense for a block.
+                old = self.z[i]
+                self.label_update(i, allow_new=allow_new)
+                if length == 1 and self.z[i] == old:
+                    length = 2
+                i += 1
+                continue
+            nxt = self._scan_block(i, e, new)
+            # The next block is twice as long as the run of cells this one
+            # settled: short where cells move often, long where none do.
+            length = 1 if nxt == i + 1 else min(SCAN_BLOCK, 2 * (nxt - i))
+            i = nxt
+
+    def _scan_block(self, i: int, e: int, new: np.ndarray | None) -> int:
+        """Score cells i..e-1 under the current state and apply the first
+        move among them; return the cell the pass resumes at.
+
+        ``new`` holds the cells' new-domain log-weights (full kernel, no
+        singletons among the cells) or is None (warm-start kernel).
+        """
+        K = self.n_domains
+        R = self.H.shape[0]
+        B = e - i
+        z = self.z[i:e]
+        own = self.GT[:, i:e]
+        # Column j is _candidate_log_weights's x for cell i + j: its sums
+        # and the occupancies, detached from its own domain.
+        X = np.empty((R + 1, K, B))
+        np.subtract(self.H[:-1, :, i:e], own * self._self_terms[:, None, i:e], out=X[: R - 1])
+        X[R - 1] = self.NB[:, i:e]
+        np.subtract(self.occ[:, None], own, out=X[R])
+        fit = self._coef @ X.reshape(-1, B)
+        if new is None:
+            # Warm-start singletons stay put and draw no noise.
+            drawn = (self.occ[z] > 1.0).nonzero()[0]
+            logw = fit[:, drawn]
+        else:
+            drawn = np.arange(B)
+            g = self.config.gamma
+            lg_detached = np.array([math.log(o - 1.0 + g) for o in self.occ.tolist()])
+            logw = np.empty((K + 1, B))
+            logw[:K] = fit + np.where(own, lg_detached[:, None], self._lgocc[:, None])
+            logw[K] = new
+        start = self.rng.bit_generator.state
+        width = logw.shape[0]
+        choice = (logw + self.rng.gumbel(0.0, 1.0, (drawn.size, width)).T).argmax(axis=0)
+        moved = (choice != z[drawn]).nonzero()[0]
+        if moved.size == 0:
+            return e
+        # Cells before the mover left the state as it was.  Leave the
+        # stream just past the mover's noise, as the per-cell loop does,
+        # before a new domain draws its parameters.
+        q = int(moved[0])
+        self.rng.bit_generator.state = start
+        self.rng.gumbel(0.0, 1.0, (q + 1) * width)
+        cell = i + int(drawn[q])
+        self._attach(cell, self._detach(cell), int(choice[q]))
+        return cell + 1
 
     # ----- sweep ------------------------------------------------------------
 
@@ -435,8 +558,7 @@ class GibbsSampler:
 
     def sweep(self, allow_new: bool = True) -> float:
         """One full iteration: label pass, parameter redraw, deviance."""
-        for i in range(self.n):
-            self.label_update(i, allow_new=allow_new)
+        self._label_pass(allow_new)
         stats, d1s, d2s = self._current_stats()
         self._resample_all_params(stats)
         self.deviance = self._deviance(stats, d1s, d2s)
@@ -576,7 +698,7 @@ def run_chain(
                 sampler.reseed_small_domains()
             if handle is not None:
                 labels = ",".join(str(v) for v in sampler.labels)
-                handle.write(f"{it}\t{sampler.n_domains}\t{dev!r}\t{labels}\n")
+                handle.write(f"{it}\t{sampler.n_domains}\t{float(dev)!r}\t{labels}\n")
             if it >= config.n_burnin and (it - config.n_burnin) % config.thin == 0:
                 samples.append(sampler.snapshot())
     finally:

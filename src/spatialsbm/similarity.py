@@ -49,7 +49,8 @@ def cosine_similarity(emb: Embedding | np.ndarray) -> np.ndarray:
 def _check_finite_symmetric(A: np.ndarray) -> float:
     """Raise DataError unless A is square, finite (checked first; the first
     bad pair in row-major order is named) and ``np.allclose(A, A.T,
-    atol=1e-12)``, in blocks of ROW_BLOCK rows.  Returns max |A|."""
+    atol=1e-12)``, in blocks of ROW_BLOCK rows and square tiles.
+    Returns max |A|."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DataError("similarity matrix must be square")
     top = 0.0
@@ -60,11 +61,16 @@ def _check_finite_symmetric(A: np.ndarray) -> float:
             i, j = np.argwhere(~np.isfinite(A[s : s + ROW_BLOCK]))[0]
             raise DataError(f"non-finite similarity at cell pair ({int(s + i)}, {int(j)})")
         top = max(top, m)
-    for s in range(0, len(A), ROW_BLOCK):
-        rows = A[s : s + ROW_BLOCK]
-        cols = A[:, s : s + ROW_BLOCK].T
-        if not (np.abs(rows - cols) <= 1e-12 + 1e-5 * np.abs(cols)).all():
-            raise DataError("similarity matrix is not symmetric")
+    # Tile (r, c) against the transpose of tile (c, r), r <= c: each pair
+    # is compared once, so the tolerance takes the smaller of |A[i, j]|
+    # and |A[j, i]| to cover both of allclose's directions.
+    for r in range(0, len(A), ROW_BLOCK):
+        for c in range(r, len(A), ROW_BLOCK):
+            upper = A[r : r + ROW_BLOCK, c : c + ROW_BLOCK]
+            lower = A[c : c + ROW_BLOCK, r : r + ROW_BLOCK].T
+            scale = np.minimum(np.abs(upper), np.abs(lower))
+            if not (np.abs(upper - lower) <= 1e-12 + 1e-5 * scale).all():
+                raise DataError("similarity matrix is not symmetric")
     return top
 
 

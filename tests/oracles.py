@@ -107,6 +107,35 @@ def block_stats_by_enumeration(A: np.ndarray, labels: np.ndarray, n_domains: int
 
 
 # ---------------------------------------------------------------------------
+# scalar formulas of the block likelihood
+
+
+def posterior_hyperparams(count, mean, sse, prior, within: bool):
+    """Conjugate (k_n, mu_n, alpha_n, beta_n) for one block's statistics."""
+    mu0 = prior.mu0_diag if within else prior.mu0_offdiag
+    kn = prior.k0 + count
+    mun = (prior.k0 * mu0 + count * mean) / kn
+    an = prior.alpha + count / 2.0
+    bn = prior.beta + 0.5 * (sse + count * prior.k0 / kn * (mean - mu0) ** 2)
+    return kn, mun, an, bn
+
+
+def cell_conditional_loglik(A, labels, params, i: int, c: int) -> float:
+    """Log-likelihood of cell i's similarity row under candidate domain c.
+
+    Sums 0.5 log tau[c, z_j] - tau[c, z_j] / 2 * (A[i, j] - mu[c, z_j])^2
+    over every j != i.
+    """
+    labels = np.asarray(labels)
+    n = labels.size
+    mask = np.arange(n) != i
+    zj = labels[mask] - 1
+    tau = params.precisions[c - 1, zj]
+    mu = params.means[c - 1, zj]
+    return float(np.sum(0.5 * np.log(tau) - 0.5 * tau * (A[i, mask] - mu) ** 2))
+
+
+# ---------------------------------------------------------------------------
 # two-dimensional quadrature over the Normal-Gamma joint
 
 
@@ -244,7 +273,7 @@ def full_conditional_oracle(
     Removes cell i (mimicking the sampler's purge-and-relabel), then scores
     every existing domain and the new-domain slot.
     """
-    from spatialsbm.likelihood import cell_conditional_loglik, new_domain_marginal
+    from spatialsbm.likelihood import new_domain_marginal
 
     labels = np.asarray(labels).copy()
     n = len(labels)
@@ -287,6 +316,12 @@ def full_conditional_oracle(
         w_new += alpha_m * new_domain_marginal(A[i, i], prior)
     out.append(w_new)
     return np.array(out)
+
+
+def scalar_label_pass(sampler, allow_new: bool) -> None:
+    """The sampler's label pass as one ``label_update`` per cell, in order."""
+    for i in range(sampler.n):
+        sampler.label_update(i, allow_new=allow_new)
 
 
 def cell_fit_scores_dense(sims, weights, labels, params_list) -> np.ndarray:

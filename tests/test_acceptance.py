@@ -21,13 +21,13 @@ from oracles import (
     morans_i_direct,
     ng_log_marginal_quadrature,
     ng_posterior_moments_quadrature,
+    posterior_hyperparams,
 )
 from spatialsbm.cli import main as cli_main
 from spatialsbm.likelihood import (
     LOG_2PI,
     NormalGammaPrior,
     new_domain_marginal,
-    posterior_hyperparams,
 )
 from spatialsbm.partition import Partition
 from spatialsbm.sampler import FitConfig, GibbsSampler

@@ -6,8 +6,10 @@ from scipy import stats as sps
 
 from oracles import (
     block_stats_by_enumeration,
+    cell_conditional_loglik,
     ng_log_marginal_quadrature,
     ng_posterior_moments_quadrature,
+    posterior_hyperparams,
 )
 from spatialsbm.likelihood import (
     LOG_2PI,
@@ -15,12 +17,10 @@ from spatialsbm.likelihood import (
     BlockStats,
     NormalGammaPrior,
     block_stats,
-    cell_conditional_loglik,
     deviance_from_stats,
     empirical_prior,
     full_deviance,
     new_domain_marginal,
-    posterior_hyperparams,
     prior_block_params,
     resample_block_params,
 )

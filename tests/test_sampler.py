@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import cell_fit_scores_dense, full_conditional_oracle
+from oracles import cell_fit_scores_dense, full_conditional_oracle, scalar_label_pass
 from spatialsbm.errors import NumericError
 from spatialsbm.likelihood import block_stats, empirical_prior, prior_block_params
 from spatialsbm.partition import Partition
@@ -247,6 +247,7 @@ class TestRunChain:
         assert first[0] == "0"
         assert len(first) == 4
         assert len(first[3].split(",")) == 6
+        assert all(np.isfinite(float(line.split("\t")[2])) for line in lines)
 
     def test_weights_length_validated(self):
         A, graph = toy_problem(n=6, seed=0)
@@ -308,6 +309,15 @@ class TestNonFiniteTerms:
         ):
             GibbsSampler([A], graph, cfg, labels=labels, params=[params])
 
+    def test_non_finite_new_domain_weight_names_the_cell(self):
+        A, graph = toy_problem(n=6, seed=5)
+        labels = np.array([1, 1, 2, 2, 2, 1])
+        cfg = FitConfig(lam=0.3, n_iterations=2, n_burnin=1, seed=1)
+        s = GibbsSampler([A], graph, cfg, labels=labels)
+        s._new_const[4] = np.inf
+        with pytest.raises(NumericError, match=r"non-finite label weight: \{'cell': 4,"):
+            s.sweep()
+
 
 class TestMaintainedSums:
     def test_sums_and_block_stats_track_the_partition(self, monkeypatch):
@@ -357,6 +367,78 @@ class TestMaintainedSums:
                 events["reseed"] += 1
                 check()
         assert min(events.values()) > 0, events
+
+
+class TestScanMatchesScalarPass:
+    """The block-wise label scan against one label_update per cell: from
+    equal states, every sweep leaves equal labels, occupancies, sums,
+    parameters, deviance and random-stream state."""
+
+    @staticmethod
+    def run_side_by_side(sims, graph, cfg, n_sweeps, monkeypatch):
+        events = {"scan_grow": 0, "purge": 0, "warm_singleton": 0, "reseed": 0}
+        scan_block = GibbsSampler._scan_block
+        purge = GibbsSampler._purge
+
+        def counted_scan(self, i, e, new):
+            k0 = self.n_domains
+            if new is None:
+                events["warm_singleton"] += int((self.occ[self.z[i:e]] == 1.0).sum())
+            out = scan_block(self, i, e, new)
+            events["scan_grow"] += self.n_domains > k0
+            return out
+
+        def counted_purge(self, d):
+            events["purge"] += self is fast
+            return purge(self, d)
+
+        monkeypatch.setattr(GibbsSampler, "_scan_block", counted_scan)
+        monkeypatch.setattr(GibbsSampler, "_purge", counted_purge)
+        fast = GibbsSampler(sims, graph, cfg)
+        ref = GibbsSampler(sims, graph, cfg)
+        ref._label_pass = lambda allow_new: scalar_label_pass(ref, allow_new)
+        warmup = min(cfg.resolved_warmup(), cfg.n_burnin)
+        if warmup > 0:
+            fast.refit_params()
+            ref.refit_params()
+        for it in range(n_sweeps):
+            warm = it < warmup
+            assert fast.sweep(allow_new=not warm) == ref.sweep(allow_new=not warm)
+            if warm:
+                events["reseed"] += fast.reseed_small_domains()
+                ref.reseed_small_domains()
+            assert np.array_equal(fast.z, ref.z)
+            assert np.array_equal(fast.occ, ref.occ)
+            assert np.array_equal(fast.H, ref.H)
+            for p, q in zip(fast.params, ref.params):
+                assert np.array_equal(p.means, q.means)
+                assert np.array_equal(p.precisions, q.precisions)
+            assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+        return fast, events
+
+    @pytest.mark.parametrize("weights,lam,seed", [
+        ((1.0,), 0.5, 3),
+        ((1.5, 0.7), 0.4, 4),
+        ((1.0, 0.0), 0.5, 5),
+    ])
+    def test_lattice_chains(self, weights, lam, seed, monkeypatch):
+        spec = SyntheticSpec(grid_side=8, k_true=3, mu_within=0.8, mu_between=0.0,
+                             precision=4.0, seed=seed, n_modalities=len(weights))
+        sims, coords, _ = generate_spatial_sbm(spec)
+        graph = build_neighborhood(coords, 1.0)
+        cfg = FitConfig(lam=lam, weights=weights, n_iterations=60, n_burnin=40,
+                        seed=seed, init_k=16)
+        _, events = self.run_side_by_side(sims, graph, cfg, 40, monkeypatch)
+        assert min(events.values()) > 0, events
+
+    def test_collapsing_chain(self, monkeypatch):
+        spec = SyntheticSpec(grid_side=10, k_true=3, precision=2.0, seed=1)
+        sims, coords, _ = generate_spatial_sbm(spec)
+        graph = build_neighborhood(coords, 1.0)
+        cfg = FitConfig(lam=0.0, n_iterations=60, n_burnin=30, seed=1)
+        fast, events = self.run_side_by_side(sims, graph, cfg, 20, monkeypatch)
+        assert fast.n_domains == fast.n
+        assert events["scan_grow"] > 0 and events["purge"] > 0, events
 
 
 class TestSeedDerivation:
