@@ -2,13 +2,17 @@
 similarity caches, JSON summaries, grid reports, run manifests.
 
 Everything round-trips: write-then-read reproduces the in-memory values
-exactly (floats are serialized with shortest-roundtrip repr).
+exactly (floats are serialized with shortest-roundtrip repr).  Matrix
+CSVs are parsed in bulk by ``np.loadtxt`` and written one row string at
+a time; similarity caches are written from the array's own buffer and
+digests hash a file in 1 MiB chunks, so no file is copied whole in memory.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -32,42 +36,77 @@ def _is_number(token: str) -> bool:
         return False
 
 
+# No comment character: "#" in a field is an error, as in any other number.
+_CSV_MATRIX = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
+
+
+def _data_lines(fh, skip_header: bool):
+    """(physical line number, line) of every line that is neither blank,
+    whitespace-only nor the header (line 1 when ``skip_header``)."""
+    for lineno, line in enumerate(fh, start=1):
+        if line.strip() and not (skip_header and lineno == 1):
+            yield lineno, line
+
+
 def read_matrix_csv(path) -> np.ndarray:
-    """Dense float matrix from CSV; a non-numeric first row is a header."""
+    """Dense float matrix from CSV.
+
+    The first line is a header when one of its fields is not a number.
+    Blank and whitespace-only lines are skipped; fields may be
+    double-quoted and padded with spaces.  Parsed in bulk by
+    ``np.loadtxt``; a rejected file is rescanned line by line to name the
+    physical line of the first bad field or ragged row.
+    """
     path = Path(path)
-    rows: list[list[float]] = []
+    with path.open(encoding="utf-8") as fh:
+        first = next(csv.reader([fh.readline()]), [])
+        skip_header = not all(_is_number(tok) for tok in first)
+        fh.seek(0)
+        lines = (line for _, line in _data_lines(fh, skip_header))
+        head = next(lines, None)
+        if head is None:
+            raise InputFormatError(f"{path}: no data rows")
+        try:
+            return np.loadtxt(itertools.chain([head], lines), dtype=float, **_CSV_MATRIX)
+        except ValueError as exc:
+            raise _locate_bad_line(path, skip_header, exc) from None
+
+
+def _locate_bad_line(path: Path, skip_header: bool, error: ValueError) -> InputFormatError:
+    """Rescan a CSV that ``np.loadtxt`` rejected, one line at a time with
+    the same parser, and describe the first bad field or ragged row."""
     width = None
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and not all(_is_number(tok) for tok in row):
-                continue
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in _data_lines(fh, skip_header):
             try:
-                values = [float(tok) for tok in row]
+                got = np.loadtxt([line], dtype=float, **_CSV_MATRIX).shape[1]
             except ValueError as exc:
-                raise InputFormatError(f"{path}: line {lineno}: {exc}") from None
+                fields = next(csv.reader([line]))
+                for j, field in enumerate(fields):
+                    try:
+                        np.loadtxt([line], dtype=float, usecols=j, **_CSV_MATRIX)
+                    except ValueError:
+                        return InputFormatError(
+                            f"{path}: line {lineno}: could not convert {field!r} to float"
+                        )
+                return InputFormatError(f"{path}: line {lineno}: {exc}")
             if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(values)}"
+                width = got
+            elif got != width:
+                return InputFormatError(
+                    f"{path}: line {lineno}: expected {width} columns, got {got}"
                 )
-            rows.append(values)
-    if not rows:
-        raise InputFormatError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+    return InputFormatError(f"{path}: {error}")
 
 
 def write_matrix_csv(path, matrix: np.ndarray, header: list[str] | None = None) -> None:
+    """CSV with one row per matrix row, values in shortest-roundtrip repr."""
     matrix = np.asarray(matrix, dtype=float)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         if header is not None:
-            writer.writerow(header)
+            csv.writer(fh, lineterminator="\n").writerow(header)
         for row in matrix:
-            writer.writerow([_fmt(v) for v in row])
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_coordinates_csv(path) -> tuple[list[str], np.ndarray]:
@@ -167,7 +206,7 @@ def write_similarity_binary(path, A: np.ndarray) -> None:
     with Path(path).open("wb") as fh:
         fh.write(SIMILARITY_MAGIC)
         fh.write(struct.pack("<Q", n))
-        fh.write(A.tobytes())
+        fh.write(A)
 
 
 def read_similarity_binary(path) -> np.ndarray:
@@ -236,8 +275,11 @@ def write_grid_csv(path, results, best, include_runtime: bool = False) -> None:
 
 
 def file_digest(path) -> str:
+    """SHA-256 hex digest of a file, read in 1 MiB chunks."""
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    with Path(path).open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
     return h.hexdigest()
 
 

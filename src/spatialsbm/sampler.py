@@ -253,6 +253,9 @@ class GibbsSampler:
         self._diag = [np.ascontiguousarray(np.diag(A)) for A in self.sims]
         # Cell i's own entries of the H1 / H2 rows: [A_m[i, i], A_m[i, i]^2].
         self._self_terms = np.array([t for d in self._diag for t in (d, d * d)])
+        # _move's scratch rows, allocated once: a fresh (2M, n) array per
+        # move can fault in new pages each time malloc maps or trims it.
+        self._rows = np.empty((2 * len(self.sims), n))
         self._new_const = np.zeros(n)
         for diag, w, prior in zip(self._diag, self.weights, self.priors):
             if w == 0.0:
@@ -361,7 +364,7 @@ class GibbsSampler:
         removed its contribution along with the domain's row.
         Occupancies are the caller's business.
         """
-        rows = np.empty((self.H.shape[0] - 1, self.n))
+        rows = self._rows
         for m, A in enumerate(self.sims):
             rows[2 * m] = A[i]
             np.multiply(A[i], A[i], out=rows[2 * m + 1])

@@ -8,8 +8,10 @@ enumeration.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -39,6 +41,40 @@ def match_up_to_sign(A: np.ndarray, B: np.ndarray, atol: float) -> bool:
         ):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# per-value CSV matrix reader and writer
+
+
+def read_matrix_csv_per_token(path) -> np.ndarray:
+    """CSV matrix parsed row by row with ``csv.reader`` and ``float()`` per
+    token; a first row with a non-numeric token is a header, blank and
+    whitespace-only rows are skipped."""
+    rows = []
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                values = [float(tok) for tok in row]
+            except ValueError:
+                if lineno == 1:
+                    continue
+                raise
+            rows.append(values)
+    return np.array(rows, dtype=float)
+
+
+def write_matrix_csv_per_value(path, matrix, header=None) -> None:
+    """CSV matrix written by ``csv.writer``, each value as ``repr(float(v))``."""
+    matrix = np.asarray(matrix, dtype=float)
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for row in matrix:
+            writer.writerow([repr(float(v)) for v in row])
 
 
 # ---------------------------------------------------------------------------

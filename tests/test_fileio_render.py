@@ -1,8 +1,13 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from oracles import read_matrix_csv_per_token, write_matrix_csv_per_value
 
 from spatialsbm.errors import InputFormatError
 from spatialsbm.fileio import (
+    SIMILARITY_MAGIC,
     default_cell_ids,
     file_digest,
     read_coordinates_csv,
@@ -51,6 +56,71 @@ class TestMatrixCsv:
         path.write_text("\n")
         with pytest.raises(InputFormatError):
             read_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a,b\n1,2\n3,4\n", [[1, 2], [3, 4]]),
+            ("1,2\n\n   \n\t\n3,4\n\n", [[1, 2], [3, 4]]),
+            ("a,b\r\n1,2\r\n\r\n3,4\r\n", [[1, 2], [3, 4]]),
+            ('"x","y"\n"1","2.5"\n"-3",4\n', [[1, 2.5], [-3, 4]]),
+            (" 1 , 2\n3 ,\t4 \n", [[1, 2], [3, 4]]),
+            ("gene\n1\n-0.5\n7\n", [[1], [-0.5], [7]]),
+        ],
+        ids=["header", "blank-lines", "crlf", "quoted", "spaces", "one-column"],
+    )
+    def test_layouts_match_per_token_oracle(self, tmp_path, text, expected):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        got = read_matrix_csv(path)
+        assert np.array_equal(got, np.array(expected, dtype=float))
+        assert np.array_equal(got, read_matrix_csv_per_token(path))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1,2\n\n   \n3,oops\n", "line 4"),
+            ("a,b\n1,2\n\n \n3\n", "line 5"),
+            ("a,b\r\n\r\n1,2\r\n3,4,5\r\n", "line 4"),
+            ("1,2\n\n3,\n", "line 3"),
+            ("1,2\n3,4 # note\n", "line 2"),
+        ],
+        ids=["bad-token", "ragged-short", "ragged-long-crlf", "empty-field", "hash"],
+    )
+    def test_bad_line_after_skipped_lines_names_physical_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(InputFormatError, match=rf"{line}\b"):
+            read_matrix_csv(path)
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("a,b,c\n")
+        with pytest.raises(InputFormatError, match="no data rows"):
+            read_matrix_csv(path)
+
+    def test_underscore_grouping_rejected(self, tmp_path):
+        # float() accepts "1_000"; the numpy parser does not.
+        path = tmp_path / "grouped.csv"
+        path.write_text("1,2\n1_000,3\n")
+        with pytest.raises(InputFormatError, match=r"line 2: .*'1_000'"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[-0.0, 5e-324, 1e16], [0.1, np.nan, -np.inf], [1.0 / 3, -1e-300, 2.0**60]]),
+            np.array([[0.1, -2.5e-7, 3.0]], dtype=np.float32),
+            np.array([[1, -2, 3], [4, 5, 2**40]], dtype=np.int64),
+            np.zeros((0, 3)),
+        ],
+        ids=["special-values", "float32", "int64", "no-rows"],
+    )
+    @pytest.mark.parametrize("header", [None, ["a", "b,c", 'd"e']], ids=["bare", "header"])
+    def test_writer_bytes_match_per_value_oracle(self, tmp_path, matrix, header):
+        write_matrix_csv(tmp_path / "new.csv", matrix, header=header)
+        write_matrix_csv_per_value(tmp_path / "old.csv", matrix, header=header)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestCoordinatesCsv:
@@ -114,6 +184,26 @@ class TestSimilarityBinary:
         assert np.array_equal(A, B)
         assert path.stat().st_size == 16 + 8 * 49
 
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.asfortranarray(np.arange(25.0).reshape(5, 5) / 7),
+            (np.arange(16.0).reshape(4, 4) - 7.5).astype(">f8"),
+            (np.arange(9.0).reshape(3, 3) / 3).astype(np.float32),
+        ],
+        ids=["fortran-order", "big-endian", "float32"],
+    )
+    def test_layout_is_little_endian_row_major(self, tmp_path, A):
+        path = tmp_path / "a.bin"
+        write_similarity_binary(path, A)
+        expected = (
+            SIMILARITY_MAGIC
+            + struct.pack("<Q", len(A))
+            + np.ascontiguousarray(A, dtype="<f8").tobytes()
+        )
+        assert path.read_bytes() == expected
+        assert np.array_equal(read_similarity_binary(path), A)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
@@ -155,6 +245,12 @@ class TestJsonAndGrid:
         path = tmp_path / "f.txt"
         path.write_text("hello")
         assert file_digest(path) == file_digest(path)
+
+    @pytest.mark.parametrize("size", [0, 7 * 2**19 + 3], ids=["empty", "3.5MiB"])
+    def test_file_digest_is_sha256_of_contents(self, tmp_path, size):
+        path = tmp_path / "f.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestRender:
