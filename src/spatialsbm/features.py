@@ -52,10 +52,6 @@ class CountMatrix:
     def n_cells(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class Embedding:
@@ -208,12 +204,6 @@ def adt_frontend(counts: CountMatrix | np.ndarray, n_components: int) -> Embeddi
     Y -= Y.mean(axis=1, keepdims=True)
     scores, evals = pca_scores(Y, n_components)
     return Embedding(values=scores, explained_variance=evals)
-
-
-def clr_transform(X: np.ndarray) -> np.ndarray:
-    """Centered log-ratio rows: log1p then subtract the row mean."""
-    Y = np.log1p(np.asarray(X, dtype=float))
-    return Y - Y.mean(axis=1, keepdims=True)
 
 
 def standardize_cells(emb: Embedding | np.ndarray) -> Embedding:

@@ -229,7 +229,7 @@ def new_domain_marginal(a_ii: float, prior: NormalGammaPrior) -> float:
 
 
 def full_deviance(
-    sims: list[np.ndarray] | np.ndarray,
+    sims: list[np.ndarray],
     weights,
     labels,
     params_list,
@@ -240,9 +240,6 @@ def full_deviance(
     complete normalizing constant, so the per-modality observation count
     is n (n + 1) / 2.
     """
-    if isinstance(sims, np.ndarray) and sims.ndim == 2:
-        sims = [sims]
-        params_list = [params_list]
     labels = as_labels(labels)
     z0 = labels - 1
     total = 0.0

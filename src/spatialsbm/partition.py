@@ -59,12 +59,6 @@ class Partition:
         part.validate()
         return part
 
-    @classmethod
-    def from_raw(cls, labels) -> "Partition":
-        """Build from an arbitrary label vector, compacting to 1..K."""
-        new, _ = relabel_contiguous(labels)
-        return cls.from_labels(new)
-
     @property
     def n_cells(self) -> int:
         return self.labels.size

@@ -109,10 +109,6 @@ class MfmPrior:
     def t_max(self) -> int:
         return len(self._log_vn)
 
-    @property
-    def log_vn(self) -> np.ndarray:
-        return np.array(self._log_vn)
-
     def log_vn_at(self, t: int) -> float:
         if t < 1:
             raise ValueError("t must be >= 1")

@@ -30,27 +30,27 @@ sampler keeps, per modality m, the cell-by-domain sums H1[m] = GT @ A_m
 and H2[m] = GT @ (A_m * A_m), and the neighbour counts NB = GT @ W,
 where GT is the K x n one-hot indicator of the partition and W the
 graph's sparse adjacency; all three live in one stacked (2M + 1, K, n)
-array.  A label update reads cell i's column of that array (minus the
-cell's own diagonal term in the domain it was detached from) and scores
-every candidate with one matrix-vector product over that column and the
-occupancies, O(M K^2) per update.  Only a cell that actually changes
-label costs O(M n): its rows A_m[i] and A_m[i]^2 move from the old
-domain's sums to the new one's, and NB changes by one at the cell's
-neighbours (its CSR index slice).  Opening a domain appends a zero row
-and removing one deletes its row, so the sums are exact bookkeeping with
-no periodic recompute.  Block statistics per sweep come from H @ GT.T in
-O(M n K^2), and the warm-start reseed scores cells from the same sums.
+array.  Every label weight comes from one product
+(``GibbsSampler._log_weights``): the coefficient matrix times the cells'
+stacked columns of that array and the occupancies, each cell's own
+diagonal terms and occupancy taken out, O(M K^2) per cell.  A single
+update, a block of the label scan and the warm-start reseed's fit scores
+all share it.  Only a cell that actually changes label costs O(M n): its
+rows A_m[i] and A_m[i]^2 move from the old domain's sums to the new
+one's, and NB changes by one at the cell's neighbours (its CSR index
+slice).  Opening a domain appends a zero row and removing one deletes
+its row, so the sums are exact bookkeeping with no periodic recompute.
+Block statistics per sweep come from H @ GT.T in O(M n K^2).
 
 The label pass is an exact sequential scan by the Gumbel-max trick
 (Maddison, Tarlow & Minka 2014): a label update is the argmax of its
 log-weights plus Gumbel noise, and a cell that keeps its label leaves the
 state unchanged.  So the pass scores a block of upcoming cells at once
-under the current state -- one product of the coefficients with their
-stacked columns of H and the occupancies, each cell's own diagonal terms
-and occupancy taken out -- adds noise drawn cell-major in the sizes the
-per-cell loop would draw (K + 1 per cell in the full kernel, K per
-non-singleton cell in the warm start, none for a warm-start singleton),
-and finds the first cell whose choice differs from its label.  The
+under the current state with that product, adds noise drawn cell-major
+in the sizes the per-cell loop would draw (K + 1 per cell in the full
+kernel, K per non-singleton cell in the warm start, none for a
+warm-start singleton), and finds the first cell whose choice differs
+from its label.  The
 cells before it change nothing; that one move is applied, the random
 stream is rewound to the block start and redrawn up to the mover (before
 a new domain draws its parameters), and the scan resumes at the next
@@ -58,15 +58,14 @@ cell.  A full-kernel singleton goes through the scalar update, which
 purges its domain first, and so does the cell right after a block whose
 first cell moved, where moves are dense.  A block is twice as long as
 the run of cells the previous one settled, at most SCAN_BLOCK.  Labels,
-sums, parameters and the random stream follow the per-cell loop; the
-log-weights agree with it up to last-bit rounding (a matrix product in
-place of matrix-vector products), which could matter only at an exact
-tie of noisy weights.  Once cells stop moving, a sweep is a few blocks
-instead of n scalar updates.
+sums, parameters and the random stream follow the per-cell loop, whose
+updates score through the same product.  Once cells stop moving, a
+sweep is a few blocks instead of n scalar updates.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -176,14 +175,6 @@ def init_chain(
     return partition, params
 
 
-def _half_terms(p: BlockParams) -> np.ndarray:
-    """log(tau) / 2 - tau mu^2 / 2 per block: the part of the Gaussian
-    log-density that does not depend on the observation."""
-    tau = p.precisions
-    mu = p.means
-    return 0.5 * np.log(tau) - 0.5 * tau * mu * mu
-
-
 class GibbsSampler:
     """Mutable chain state over one dataset and configuration."""
 
@@ -197,8 +188,6 @@ class GibbsSampler:
         params: list[BlockParams] | None = None,
         priors: list[NormalGammaPrior] | None = None,
     ):
-        if isinstance(sims, np.ndarray) and sims.ndim == 2:
-            sims = [sims]
         self.sims = [check_similarity_matrix(A) for A in sims]
         n = self.sims[0].shape[0]
         if any(A.shape[0] != n for A in self.sims):
@@ -291,7 +280,9 @@ class GibbsSampler:
         likelihood and spatial part of its existing-domain log-weights:
         its blocks are w_m tau_m mu_m against H1[m], -w_m tau_m / 2
         against H2[m], lam I against NB and sum_m w_m h_m against the
-        occupancies, with h_m from :func:`_half_terms`.
+        occupancies, where h_m = log(tau_m) / 2 - tau_m mu_m^2 / 2 is the
+        part of the Gaussian log-density that does not depend on the
+        observation.
         """
         K = self.params[0].n_domains
         R = self.H.shape[0]
@@ -301,7 +292,8 @@ class GibbsSampler:
                 continue
             coef[:, 2 * m] = w * p.precisions * p.means
             coef[:, 2 * m + 1] = -0.5 * w * p.precisions
-            coef[:, R] += w * _half_terms(p)
+            tau, mu = p.precisions, p.means
+            coef[:, R] += w * (0.5 * np.log(tau) - 0.5 * tau * mu * mu)
         diag = np.arange(K)
         coef[diag, R - 1, diag] = self.config.lam
         self._coef = coef.reshape(K, -1)
@@ -380,31 +372,36 @@ class GibbsSampler:
 
     # ----- label update -----------------------------------------------------
 
-    def _candidate_log_weights(
-        self, i: int, old: int, include_new: bool = True
-    ) -> np.ndarray:
-        """Log weights of the K* existing domains (plus the new-domain slot
-        unless excluded) for cell i, already detached from domain ``old``
-        (-1 if that domain was purged).
+    def _log_weights(self, i: int, e: int, new: np.ndarray | None) -> np.ndarray:
+        """Label log-weights of cells i..e-1 under the current state, one
+        column per cell.
 
-        The sums H still count cell i in ``old``; only its own diagonal
-        entries need taking out, since W has a zero diagonal.
+        Each cell is scored as if detached from its own domain: the sums H
+        and the occupancies still count it there, so its own diagonal
+        terms and occupancy are taken out through its GT column (empty for
+        a cell whose domain was purged; W has a zero diagonal).  With
+        ``new``, the cells' new-domain log-weights, the K existing-domain
+        rows add the urn mass log(n_c + gamma) of the detached state and
+        row K is ``new``.  With None (warm-start kernel) the K rows of fit
+        and spatial terms come back alone.
         """
         K = self.n_domains
         R = self.H.shape[0]
-        x = np.empty((R + 1) * K)
-        col = x.reshape(R + 1, K)
-        col[:R] = self.H[:, :, i]
-        col[R] = self.occ
-        if old >= 0:
-            col[: R - 1, old] -= self._self_terms[:, i]
-        buf = np.empty(K + 1 if include_new else K)
-        buf[:K] = self._lgocc + self._coef.dot(x)
-        if include_new:
-            buf[K] = self._new_const[i] + self.mfm.log_new_weight(K)
-            if not math.isfinite(buf[K]):
-                self._raise_weight_diagnostic(i, buf)
-        return buf
+        B = e - i
+        own = self.GT[:, i:e]
+        X = np.empty((R + 1, K, B))
+        np.subtract(self.H[:-1, :, i:e], own * self._self_terms[:, None, i:e], out=X[: R - 1])
+        X[R - 1] = self.NB[:, i:e]
+        np.subtract(self.occ[:, None], own, out=X[R])
+        fit = self._coef @ X.reshape(-1, B)
+        if new is None:
+            return fit
+        g = self.config.gamma
+        lg_detached = np.array([math.log(o - 1.0 + g) for o in self.occ.tolist()])
+        logw = np.empty((K + 1, B))
+        logw[:K] = fit + np.where(own, lg_detached[:, None], self._lgocc[:, None])
+        logw[K] = new
+        return logw
 
     def _raise_weight_diagnostic(self, i: int, buf: np.ndarray) -> None:
         bad = np.flatnonzero(~np.isfinite(buf))
@@ -419,22 +416,28 @@ class GibbsSampler:
     def label_update(self, i: int, return_weights: bool = False, allow_new: bool = True):
         """Resample the label of cell i in place.
 
-        Returns the candidate log-weight vector (existing domains then the
-        new-domain slot) when ``return_weights`` is set.  With
-        ``allow_new=False`` (warm-start kernel) the new-domain candidate
-        is dropped and the last member of a domain stays put.
+        Returns the candidate log-weight vector the label is drawn from
+        (existing domains then the new-domain slot) when
+        ``return_weights`` is set.  With ``allow_new=False`` (warm-start
+        kernel) the new-domain candidate and the urn mass are dropped, and
+        the last member of a domain stays put (returning None).
         """
-        old = self.z[i]
-        if not allow_new and self.occ[old] == 1.0:
-            return None
-        old = self._detach(i)
-        buf = self._candidate_log_weights(i, old, include_new=allow_new)
-        out = buf.copy() if return_weights else None
-        if not allow_new:
-            buf = buf - self._lgocc
-        c = int((buf + self.rng.gumbel(0.0, 1.0, buf.size)).argmax())
-        self._attach(i, old, c)
-        return out
+        singleton = self.occ[self.z[i]] == 1.0
+        if singleton:
+            if not allow_new:
+                return None
+            # The last member of its domain: the domain goes first, so the
+            # candidates are the K - 1 others and a new one.
+            self._detach(i)
+        new = None
+        if allow_new:
+            new = self._new_const[i : i + 1] + self.mfm.log_new_weight(self.n_domains)
+        w = self._log_weights(i, i + 1, new)[:, 0]
+        if new is not None and not math.isfinite(new[0]):
+            self._raise_weight_diagnostic(i, w)
+        c = int((w + self.rng.gumbel(0.0, 1.0, w.size)).argmax())
+        self._attach(i, -1 if singleton else self._detach(i), c)
+        return w if return_weights else None
 
     def _detach(self, i: int) -> int:
         """Take cell i out of its domain's occupancy; return that domain,
@@ -504,29 +507,14 @@ class GibbsSampler:
         ``new`` holds the cells' new-domain log-weights (full kernel, no
         singletons among the cells) or is None (warm-start kernel).
         """
-        K = self.n_domains
-        R = self.H.shape[0]
-        B = e - i
         z = self.z[i:e]
-        own = self.GT[:, i:e]
-        # Column j is _candidate_log_weights's x for cell i + j: its sums
-        # and the occupancies, detached from its own domain.
-        X = np.empty((R + 1, K, B))
-        np.subtract(self.H[:-1, :, i:e], own * self._self_terms[:, None, i:e], out=X[: R - 1])
-        X[R - 1] = self.NB[:, i:e]
-        np.subtract(self.occ[:, None], own, out=X[R])
-        fit = self._coef @ X.reshape(-1, B)
+        logw = self._log_weights(i, e, new)
         if new is None:
             # Warm-start singletons stay put and draw no noise.
             drawn = (self.occ[z] > 1.0).nonzero()[0]
-            logw = fit[:, drawn]
+            logw = logw[:, drawn]
         else:
-            drawn = np.arange(B)
-            g = self.config.gamma
-            lg_detached = np.array([math.log(o - 1.0 + g) for o in self.occ.tolist()])
-            logw = np.empty((K + 1, B))
-            logw[:K] = fit + np.where(own, lg_detached[:, None], self._lgocc[:, None])
-            logw[K] = new
+            drawn = np.arange(e - i)
         start = self.rng.bit_generator.state
         width = logw.shape[0]
         choice = (logw + self.rng.gumbel(0.0, 1.0, (drawn.size, width)).T).argmax(axis=0)
@@ -578,28 +566,12 @@ class GibbsSampler:
         self._resample_all_params(self._current_stats()[0])
 
     def _cell_fit_scores(self) -> np.ndarray:
-        """Weighted log-likelihood of each cell's row under its own domain.
-
-        The label-update expansion with each cell's own-domain row of the
-        block terms and its column of the sums H, minus the j = i term.
-        """
-        z = self.z
-        scores = np.zeros(self.n)
-        for m, (p, w) in enumerate(zip(self.params, self.weights)):
-            if w == 0.0:
-                continue
-            a = self._diag[m]
-            tau = p.precisions
-            tau_mu = tau * p.means
-            half = _half_terms(p)
-            rows = (
-                half[z] @ self.occ
-                - 0.5 * (self.H2[m].T * tau[z]).sum(axis=1)
-                + (self.H1[m].T * tau_mu[z]).sum(axis=1)
-            )
-            own = half[z, z] - 0.5 * tau[z, z] * a * a + tau_mu[z, z] * a
-            scores += w * (rows - own)
-        return scores
+        """Weighted log-likelihood of each cell's row under its own domain:
+        its own-domain label weight in the warm-start kernel, less the
+        spatial reward."""
+        cells = np.arange(self.n)
+        fit = self._log_weights(0, self.n, None)
+        return fit[self.z, cells] - self.config.lam * self.NB[self.z, cells]
 
     def reseed_small_domains(self, min_occ: int = 2) -> bool:
         """Warm-start move: refill withering domains with misfit cells.
@@ -627,12 +599,7 @@ class GibbsSampler:
                     break
                 if i in taken or self.z[i] == d or self.occ[self.z[i]] <= 1:
                     continue
-                old = self.z[i]
-                self.occ[old] -= 1.0
-                self._lgocc[old] = math.log(self.occ[old] + self.config.gamma)
-                self._move(i, old, d)
-                self.occ[d] += 1.0
-                self._lgocc[d] = math.log(self.occ[d] + self.config.gamma)
+                self._attach(i, self._detach(i), d)
                 taken.add(i)
                 moved += 1
         self.refit_params()
@@ -675,8 +642,8 @@ def run_chain(
     ``warmup_sweeps`` sweeps (default half of burn-in) use the warm-start
     kernel with one parameter refit on the initial partition; set
     warmup_sweeps = 0 for the plain kernel throughout.  ``trace_file`` (a
-    path or open text handle) receives one line per sweep: iteration,
-    domain count, deviance, then the comma-joined label vector.
+    path) receives one line per sweep: iteration, domain count, deviance,
+    then the comma-joined label vector.
     """
     sampler = GibbsSampler(sims, graph, config)
     # Recorded samples must come from the full kernel, so the warm start
@@ -685,15 +652,9 @@ def run_chain(
     if warmup > 0:
         sampler.refit_params()
     samples: list[ChainSample] = []
-    close = False
-    handle = None
-    if trace_file is not None:
-        if hasattr(trace_file, "write"):
-            handle = trace_file
-        else:
-            handle = open(trace_file, "w", encoding="utf-8")
-            close = True
-    try:
+    trace = (open(trace_file, "w", encoding="utf-8") if trace_file is not None
+             else contextlib.nullcontext())
+    with trace as handle:
         for it in range(config.n_iterations):
             in_warmup = it < warmup
             dev = sampler.sweep(allow_new=not in_warmup)
@@ -704,9 +665,6 @@ def run_chain(
                 handle.write(f"{it}\t{sampler.n_domains}\t{float(dev)!r}\t{labels}\n")
             if it >= config.n_burnin and (it - config.n_burnin) % config.thin == 0:
                 samples.append(sampler.snapshot())
-    finally:
-        if close and handle is not None:
-            handle.close()
     return samples
 
 

@@ -43,6 +43,12 @@ def match_up_to_sign(A: np.ndarray, B: np.ndarray, atol: float) -> bool:
     return True
 
 
+def clr_transform(X: np.ndarray) -> np.ndarray:
+    """Centered log-ratio rows: log1p then subtract the row mean."""
+    Y = np.log1p(np.asarray(X, dtype=float))
+    return Y - Y.mean(axis=1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
 # per-value CSV matrix reader and writer
 

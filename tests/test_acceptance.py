@@ -29,7 +29,7 @@ from spatialsbm.likelihood import (
     NormalGammaPrior,
     new_domain_marginal,
 )
-from spatialsbm.partition import Partition
+from spatialsbm.partition import relabel_contiguous
 from spatialsbm.sampler import FitConfig, GibbsSampler
 from spatialsbm.selection import GridSpec, grid_search, mdic
 from spatialsbm.similarity import build_neighborhood
@@ -165,7 +165,7 @@ class TestC04UrnReduction:
         rng = np.random.default_rng(99)
         worst = 0.0
         for trial in range(20):
-            labels = Partition.from_raw(rng.integers(1, 4, size=n)).labels
+            labels = relabel_contiguous(rng.integers(1, 4, size=n))[0]
             cfg = FitConfig(
                 lam=0.0, weights=(0.0,), n_iterations=2, n_burnin=1,
                 seed=trial, warmup_sweeps=0,
@@ -251,7 +251,7 @@ class TestC07DahlEquivalence:
             n = int(rng.integers(3, 11))
             m = int(rng.integers(1, 9))
             samples = [
-                Partition.from_raw(rng.integers(1, 5, size=n)).labels
+                relabel_contiguous(rng.integers(1, 5, size=n))[0]
                 for _ in range(m)
             ]
             got, _ = dahl_select(samples)

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import match_up_to_sign, svd_scores
+from oracles import clr_transform, match_up_to_sign, svd_scores
 from spatialsbm.errors import DataError
 from spatialsbm.features import (
     CountMatrix,
     adt_frontend,
     atac_frontend,
-    clr_transform,
     rna_frontend,
     standardize_cells,
 )

@@ -1,10 +1,14 @@
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracles import cell_fit_scores_dense, full_conditional_oracle, scalar_label_pass
 from spatialsbm.errors import NumericError
 from spatialsbm.likelihood import block_stats, empirical_prior, prior_block_params
-from spatialsbm.partition import Partition
+from spatialsbm.partition import relabel_contiguous
 from spatialsbm.sampler import (
     ChainSample,
     FitConfig,
@@ -91,7 +95,7 @@ class TestLabelUpdate:
         A, graph = toy_problem(n=8, seed=1)
         rng = np.random.default_rng(44)
         for trial in range(20):
-            labels = Partition.from_raw(rng.integers(1, 4, size=8)).labels
+            labels = relabel_contiguous(rng.integers(1, 4, size=8))[0]
             cfg = FitConfig(
                 lam=0.0, weights=(0.0,), n_iterations=2, n_burnin=1, seed=trial
             )
@@ -142,6 +146,31 @@ class TestLabelUpdate:
         ell1 = got1[:2] - urn
         ell3 = got3[:2] - urn
         assert np.allclose(ell3, 3.0 * ell1, atol=1e-9)
+
+    def test_warm_start_weights_are_the_oracle_without_the_urn(self):
+        spec = SyntheticSpec(grid_side=4, k_true=2, mu_within=0.8, mu_between=0.0,
+                             precision=4.0, seed=3, n_modalities=2)
+        sims, coords, _ = generate_spatial_sbm(spec)
+        graph = build_neighborhood(coords, 1.0)
+        cfg = FitConfig(lam=0.7, weights=(1.5, 0.7), gamma=1.0, n_iterations=2,
+                        n_burnin=1, seed=5)
+        labels = np.array([1, 1, 2, 2, 1, 1, 2, 2, 3, 3, 2, 2, 3, 3, 3, 4])
+        for i in range(15):
+            s = GibbsSampler(sims, graph, cfg, labels=labels)
+            expected = full_conditional_oracle(
+                sims, s.weights, labels, s.params, graph, cfg.lam, cfg.gamma,
+                s.mfm, s.priors, i,
+            )[:-1]
+            occ = np.bincount(labels)[1:].astype(float)
+            occ[labels[i] - 1] -= 1
+            got = s.label_update(i, return_weights=True, allow_new=False)
+            np.testing.assert_allclose(got, expected - np.log(occ + cfg.gamma),
+                                       rtol=1e-12, atol=1e-10)
+        s = GibbsSampler(sims, graph, cfg, labels=labels)
+        z, occ, state = s.z.copy(), s.occ.copy(), s.rng.bit_generator.state
+        assert s.label_update(15, return_weights=True, allow_new=False) is None
+        assert np.array_equal(s.z, z) and np.array_equal(s.occ, occ)
+        assert s.rng.bit_generator.state == state
 
 
 class TestSweep:
@@ -372,7 +401,9 @@ class TestMaintainedSums:
 class TestScanMatchesScalarPass:
     """The block-wise label scan against one label_update per cell: from
     equal states, every sweep leaves equal labels, occupancies, sums,
-    parameters, deviance and random-stream state."""
+    parameters, deviance and random-stream state.  Both score through
+    ``_log_weights``, so this checks the scan's order of moves, noise and
+    stream rewinds; ``full_conditional_oracle`` checks the weights."""
 
     @staticmethod
     def run_side_by_side(sims, graph, cfg, n_sweeps, monkeypatch):
@@ -441,9 +472,59 @@ class TestScanMatchesScalarPass:
         assert events["scan_grow"] > 0 and events["purge"] > 0, events
 
 
+# K and labels of every sweep of two fixed-seed chains, as run_chain's
+# trace writes them.  A change that alters chains on purpose re-records
+# them with `PYTHONPATH=src python tests/test_sampler.py --record`.
+TRAJECTORIES = Path(__file__).parent / "data" / "fixed_seed_chains.json"
+
+
+def fixed_seed_chains():
+    """name -> (sims, graph, config) of the pinned chains: one through
+    warm-up reseeds and then new domains, one that collapses to
+    singletons."""
+    spec = SyntheticSpec(grid_side=8, k_true=3, mu_within=0.8, mu_between=0.0,
+                         precision=4.0, seed=4, n_modalities=2)
+    sims, coords, _ = generate_spatial_sbm(spec)
+    lattice = (sims, build_neighborhood(coords, 1.0),
+               FitConfig(lam=0.4, weights=(1.5, 0.7), n_iterations=60, n_burnin=40,
+                         seed=4, init_k=16))
+    spec = SyntheticSpec(grid_side=10, k_true=3, precision=2.0, seed=1)
+    sims, coords, _ = generate_spatial_sbm(spec)
+    collapse = (sims, build_neighborhood(coords, 1.0),
+                FitConfig(lam=0.0, n_iterations=60, n_burnin=30, seed=1))
+    return {"lattice_8x8_two_modalities": lattice, "collapse_10x10": collapse}
+
+
+def chain_trajectory(sims, graph, cfg, trace_dir) -> dict:
+    path = Path(trace_dir) / "trace.tsv"
+    run_chain(sims, graph, cfg, trace_file=path)
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    return {"k": [int(r[1]) for r in rows], "labels": [r[3] for r in rows]}
+
+
+class TestFixedSeedTrajectories:
+    @pytest.mark.parametrize("name", ["lattice_8x8_two_modalities", "collapse_10x10"])
+    def test_trajectory_is_pinned(self, name, tmp_path):
+        pinned = json.loads(TRAJECTORIES.read_text())[name]
+        got = chain_trajectory(*fixed_seed_chains()[name], tmp_path)
+        assert len(got["k"]) == len(pinned["k"])
+        for it, (k, labels) in enumerate(zip(got["k"], got["labels"])):
+            assert (k, labels) == (pinned["k"][it], pinned["labels"][it]), f"sweep {it}"
+
+
 class TestSeedDerivation:
     def test_stable_and_distinct(self):
         a = derive_seed(7, 0)
         b = derive_seed(7, 1)
         assert a == derive_seed(7, 0)
         assert a != b
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {name: chain_trajectory(*chain, tmp)
+                  for name, chain in fixed_seed_chains().items()}
+    TRAJECTORIES.parent.mkdir(exist_ok=True)
+    TRAJECTORIES.write_text(json.dumps(record, indent=1) + "\n")

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import dahl_distances_dense, dahl_exhaustive
 from spatialsbm import summary as summary_module
-from spatialsbm.partition import Partition
+from spatialsbm.partition import relabel_contiguous
 from spatialsbm.sampler import ChainSample
 from spatialsbm.summary import (
     comembership,
@@ -174,7 +174,7 @@ def perturbed_samples(rng, n, m, k):
             labels = base.copy()
             flip = rng.random(n) < 0.3
             labels[flip] = rng.integers(1, k + 1, size=int(flip.sum()))
-        out.append(Partition.from_raw(labels).labels)
+        out.append(relabel_contiguous(labels)[0])
     return out
 
 
