@@ -19,10 +19,12 @@ from .errors import DataError, InputFormatError, NumericError
 from .features import DEFAULT_COMPONENTS, FRONTENDS, CountMatrix, standardize_cells
 from .fileio import (
     default_cell_ids,
+    file_digest,
     read_coordinates_csv,
     read_labels_tsv,
     read_matrix_csv,
     read_similarity_binary,
+    similarity_digest,
     write_coordinates_csv,
     write_edge_list,
     write_grid_csv,
@@ -51,10 +53,12 @@ def _parse_kv(pairs: list[str], value_type, what: str) -> dict:
     return out
 
 
-def _load_similarity(path: str) -> np.ndarray:
+def _load_similarity(path: str) -> tuple[np.ndarray, str]:
+    """The matrix at path and the digest of that file."""
     if path.endswith(".bin"):
-        return read_similarity_binary(path)
-    return read_matrix_csv(path)
+        A = read_similarity_binary(path)
+        return A, similarity_digest(A)
+    return read_matrix_csv(path), file_digest(path)
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -106,12 +110,18 @@ def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init-k", dest="init_k", type=int, default=5)
 
 
-def _gather_modalities(args) -> tuple[list[str], list[np.ndarray], tuple[float, ...]]:
+def _gather_modalities(
+    args,
+) -> tuple[list[str], list[np.ndarray], tuple[float, ...], dict[str, str]]:
+    """Modality kinds, their matrices, weights and file digests."""
     paths = _parse_kv(args.similarity, str, "--similarity")
     if not paths:
         raise ValueError("at least one --similarity KIND=PATH is required")
     kinds = sorted(paths)
-    sims = [_load_similarity(paths[k]) for k in kinds]
+    sims, digests = [], {}
+    for k in kinds:
+        A, digests[k] = _load_similarity(paths[k])
+        sims.append(A)
     n = sims[0].shape[0]
     if any(A.shape[0] != n for A in sims):
         raise DataError("similarity matrices disagree on the number of cells")
@@ -120,7 +130,7 @@ def _gather_modalities(args) -> tuple[list[str], list[np.ndarray], tuple[float, 
     if unknown:
         raise ValueError(f"--weight given for unknown modalities: {sorted(unknown)}")
     weights = tuple(wmap.get(k, 1.0) for k in kinds)
-    return kinds, sims, weights
+    return kinds, sims, weights, digests
 
 
 # --------------------------------------------------------------------------
@@ -136,7 +146,7 @@ def cmd_preprocess(args) -> int:
     if not counts and not embeddings:
         raise ValueError("provide at least one --counts or --embedding input")
     ncomp = _parse_kv(args.n_components, int, "--n-components")
-    inputs: dict[str, str] = {}
+    digests: dict[str, str] = {}
     n_cells: int | None = None
     t0 = time.perf_counter()
     for kind in sorted(set(counts) | set(embeddings)):
@@ -144,12 +154,12 @@ def cmd_preprocess(args) -> int:
             if kind not in FRONTENDS:
                 raise ValueError(f"unknown modality kind {kind!r} for --counts")
             raw = read_matrix_csv(counts[kind])
-            inputs[f"counts:{kind}"] = counts[kind]
+            digests[f"counts:{kind}"] = file_digest(counts[kind])
             k = ncomp.get(kind, DEFAULT_COMPONENTS[kind])
             emb = FRONTENDS[kind](CountMatrix(raw, kind), k)
         else:
             raw = read_matrix_csv(embeddings[kind])
-            inputs[f"embedding:{kind}"] = embeddings[kind]
+            digests[f"embedding:{kind}"] = file_digest(embeddings[kind])
             emb = raw
         std = standardize_cells(emb)
         if n_cells is None:
@@ -161,9 +171,11 @@ def cmd_preprocess(args) -> int:
         A = fisher_z(cosine_similarity(std))
         write_matrix_csv(out / f"{kind}_embedding.csv", std.values)
         write_similarity_binary(out / f"{kind}_similarity.bin", A)
+        # Free this modality's n x n matrix and counts before the next is read.
+        del raw, emb, std, A
     if args.coords:
         _, coords = read_coordinates_csv(args.coords)
-        inputs["coords"] = args.coords
+        digests["coords"] = file_digest(args.coords)
         if n_cells is not None and coords.shape[0] != n_cells:
             raise DataError("coordinate count does not match the modalities")
         graph = build_neighborhood(coords, args.delta)
@@ -172,7 +184,7 @@ def cmd_preprocess(args) -> int:
         out / "manifest.json",
         "preprocess",
         {"delta": args.delta, "n_components": ncomp},
-        inputs,
+        digests,
         timings={"wall_seconds": time.perf_counter() - t0},
         seed=None,
     )
@@ -182,7 +194,7 @@ def cmd_preprocess(args) -> int:
 def cmd_fit(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    kinds, sims, weights = _gather_modalities(args)
+    kinds, sims, weights, digests = _gather_modalities(args)
     cell_ids, coords = read_coordinates_csv(args.coords)
     if coords.shape[0] != sims[0].shape[0]:
         raise DataError("coordinate count does not match the similarity matrices")
@@ -208,13 +220,11 @@ def cmd_fit(args) -> int:
             "config": echo,
         },
     )
-    inputs = dict(_parse_kv(args.similarity, str, "--similarity"))
-    inputs["coords"] = args.coords
     write_manifest(
         out / "manifest.json",
         "fit",
         echo,
-        inputs,
+        {**digests, "coords": file_digest(args.coords)},
         timings={"wall_seconds": wall},
         k_hat=summary.k_hat,
         seed=args.seed,
@@ -225,7 +235,7 @@ def cmd_fit(args) -> int:
 def cmd_select(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    kinds, sims, weights = _gather_modalities(args)
+    kinds, sims, weights, digests = _gather_modalities(args)
     cell_ids, coords = read_coordinates_csv(args.coords)
     if coords.shape[0] != sims[0].shape[0]:
         raise DataError("coordinate count does not match the similarity matrices")
@@ -268,13 +278,11 @@ def cmd_select(args) -> int:
                 f"warning: configuration (lambda={lam}, delta={delta}) failed: {msg}",
                 file=sys.stderr,
             )
-    inputs = dict(_parse_kv(args.similarity, str, "--similarity"))
-    inputs["coords"] = args.coords
     write_manifest(
         out / "manifest.json",
         "select",
         echo,
-        inputs,
+        {**digests, "coords": file_digest(args.coords)},
         timings={
             "wall_seconds": wall,
             "per_config_seconds": [r.runtime_seconds for r in search.results],

@@ -6,6 +6,7 @@ exactly (floats are serialized with shortest-roundtrip repr).  Matrix
 CSVs are parsed in bulk by ``np.loadtxt`` and written one row string at
 a time; similarity caches are written from the array's own buffer and
 digests hash a file in 1 MiB chunks, so no file is copied whole in memory.
+A cache already read is digested from the array, not read again.
 """
 
 from __future__ import annotations
@@ -197,16 +198,31 @@ def read_labels_tsv(path) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     return ids, np.array(labels, dtype=np.int64), uncertainty
 
 
-def write_similarity_binary(path, A: np.ndarray) -> None:
-    """Flat binary cache: 8-byte magic + uint64 n, then row-major float64."""
+def _similarity_cache(A: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The cache of A as (16-byte header, row-major little-endian body)."""
     A = np.ascontiguousarray(np.asarray(A, dtype="<f8"))
     n = A.shape[0]
     if A.ndim != 2 or A.shape[1] != n:
         raise ValueError("similarity cache requires a square matrix")
+    return SIMILARITY_MAGIC + struct.pack("<Q", n), A
+
+
+def write_similarity_binary(path, A: np.ndarray) -> None:
+    """Flat binary cache: 8-byte magic + uint64 n, then row-major float64."""
+    header, body = _similarity_cache(A)
     with Path(path).open("wb") as fh:
-        fh.write(SIMILARITY_MAGIC)
-        fh.write(struct.pack("<Q", n))
-        fh.write(A)
+        fh.write(header)
+        fh.write(body)
+
+
+def similarity_digest(A: np.ndarray) -> str:
+    """SHA-256 hex digest of the cache ``write_similarity_binary`` writes
+    for A, hashed from A in memory: for a matrix read back from a cache
+    it equals that file's ``file_digest`` without reading the file again."""
+    header, body = _similarity_cache(A)
+    h = hashlib.sha256(header)
+    h.update(body)
+    return h.hexdigest()
 
 
 def read_similarity_binary(path) -> np.ndarray:
@@ -283,8 +299,9 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path, command: str, config: dict, inputs: dict, **extra) -> None:
-    """Run manifest: config echo, input digests, versions, extras."""
+def write_manifest(path, command: str, config: dict, digests: dict, **extra) -> None:
+    """Run manifest: config echo, input digests (name -> SHA-256 hex, see
+    ``file_digest`` and ``similarity_digest``), versions, extras."""
     import scipy
 
     from . import __version__
@@ -292,7 +309,7 @@ def write_manifest(path, command: str, config: dict, inputs: dict, **extra) -> N
     payload = {
         "command": command,
         "config": config,
-        "inputs": {str(k): file_digest(v) for k, v in inputs.items()},
+        "inputs": {str(k): v for k, v in digests.items()},
         "versions": {
             "spatialsbm": __version__,
             "numpy": np.__version__,

@@ -4,7 +4,8 @@ These two structures are the only inputs the generative model sees: a
 per-modality Fisher-Z transformed similarity matrix (diagonal retained,
 it feeds the new-domain proposal) and a binary adjacency graph over the
 tissue coordinates, stored as one sparse CSR matrix.  The similarity
-checks run in blocks of rows and build no n x n temporary.
+checks run in blocks of rows and build no n x n temporary, and the
+Fisher-Z transform works in place.
 """
 
 from __future__ import annotations
@@ -78,11 +79,17 @@ def _check_finite_symmetric(A: np.ndarray) -> float:
 
 
 def fisher_z(R: np.ndarray, clip: float = FISHER_CLIP) -> np.ndarray:
-    """arctanh of similarities clipped to (-clip, clip); diagonal retained."""
+    """arctanh of similarities clipped to (-clip, clip); diagonal retained.
+
+    Works in place: a float64 array R is clipped and transformed in its
+    own buffer, and R itself is returned, so no second n x n array is
+    made (any other input is first converted to a new float64 array).
+    R is checked before it is touched, so a rejected R is left as it was.
+    """
     R = np.asarray(R, dtype=float)
     _check_finite_symmetric(R)
-    Z = np.clip(R, -clip, clip)
-    return np.arctanh(Z, out=Z)
+    np.clip(R, -clip, clip, out=R)
+    return np.arctanh(R, out=R)
 
 
 def check_similarity_matrix(A: np.ndarray) -> np.ndarray:

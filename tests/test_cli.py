@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oracles import edge_pairs_loop
 from spatialsbm.cli import main
 from spatialsbm.fileio import (
     default_cell_ids,
+    file_digest,
     read_json,
     read_labels_tsv,
     read_matrix_csv,
@@ -125,6 +127,29 @@ class TestPreprocess:
         )
         assert code == 3
 
+    def test_peak_memory_below_two_matrices(self, tmp_path):
+        """Each modality's n x n matrix is transformed in place and freed
+        before the next modality is read (numpy reports its allocations
+        to tracemalloc)."""
+        n = 1600
+        rng = np.random.default_rng(7)
+        write_matrix_csv(tmp_path / "rna.csv", rng.poisson(3.0, (n, 60)) + 1.0)
+        write_matrix_csv(tmp_path / "adt.csv", rng.poisson(9.0, (n, 12)) + 1.0)
+        tracemalloc.start()
+        try:
+            code = run_cli(
+                "preprocess",
+                "--counts", f"rna={tmp_path/'rna.csv'}",
+                "--counts", f"adt={tmp_path/'adt.csv'}",
+                "--n-components", "rna=10", "--n-components", "adt=5",
+                "--out-dir", tmp_path / "pre",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2.0 * n * n * 8, peak / (n * n * 8)
+
     def test_modality_size_mismatch_exits_3(self, tmp_path):
         rng = np.random.default_rng(3)
         write_matrix_csv(tmp_path / "a.csv", rng.poisson(5, (20, 10)) + 1.0)
@@ -160,6 +185,33 @@ class TestFit:
         manifest = read_json(out1 / "manifest.json")
         assert manifest["command"] == "fit"
         assert set(manifest["inputs"]) == {"m0", "coords"}
+
+    def test_manifest_digests_caches_without_reading_them_again(
+        self, sim_dir, tmp_path, monkeypatch
+    ):
+        import spatialsbm.cli as cli_mod
+
+        hashed = []
+
+        def recording_digest(path):
+            hashed.append(str(path))
+            return file_digest(path)
+
+        monkeypatch.setattr(cli_mod, "file_digest", recording_digest)
+        cache = sim_dir / "similarity_m0.bin"
+        code = run_cli(
+            "fit",
+            "--similarity", f"m0={cache}",
+            "--coords", sim_dir / "coords.csv",
+            "--iterations", 10, "--burnin", 5, "--out-dir", tmp_path,
+        )
+        assert code == 0
+        assert hashed == [str(sim_dir / "coords.csv")]
+        inputs = read_json(tmp_path / "manifest.json")["inputs"]
+        assert inputs == {
+            "m0": file_digest(cache),
+            "coords": file_digest(sim_dir / "coords.csv"),
+        }
 
     def test_weight_flags(self, sim_dir, tmp_path):
         code = run_cli(

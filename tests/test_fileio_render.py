@@ -15,6 +15,7 @@ from spatialsbm.fileio import (
     read_labels_tsv,
     read_matrix_csv,
     read_similarity_binary,
+    similarity_digest,
     write_coordinates_csv,
     write_grid_csv,
     write_json,
@@ -203,6 +204,21 @@ class TestSimilarityBinary:
         )
         assert path.read_bytes() == expected
         assert np.array_equal(read_similarity_binary(path), A)
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.arange(36.0).reshape(6, 6) / 11,
+            np.asfortranarray(np.arange(25.0).reshape(5, 5) / 7),
+            (np.arange(16.0).reshape(4, 4) - 7.5).astype(">f8"),
+        ],
+        ids=["c-order", "fortran-order", "big-endian"],
+    )
+    def test_in_memory_digest_equals_file_digest(self, tmp_path, A):
+        path = tmp_path / "a.bin"
+        write_similarity_binary(path, A)
+        assert similarity_digest(read_similarity_binary(path)) == file_digest(path)
+        assert similarity_digest(A) == file_digest(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.bin"

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,13 @@ from spatialsbm.partition import relabel_contiguous
 from spatialsbm.sampler import (
     ChainSample,
     FitConfig,
+    H2_BLOCK,
     GibbsSampler,
     derive_seed,
     init_chain,
     run_chain,
 )
-from spatialsbm.similarity import build_neighborhood
+from spatialsbm.similarity import FISHER_BOUND, build_neighborhood
 from spatialsbm.synthetic import SyntheticSpec, generate_spatial_sbm
 
 
@@ -323,6 +325,66 @@ class TestReseed:
             expected = cell_fit_scores_dense(s.sims, s.weights, s.labels, s.params)
             assert np.allclose(s._cell_fit_scores(), expected, rtol=1e-12, atol=0.0)
             s.reseed_small_domains()
+
+
+def random_problem(n, n_modalities, seed):
+    """Symmetric similarity matrices in the Fisher-Z range on the first n
+    cells of a square lattice."""
+    rng = np.random.default_rng(seed)
+    sims = []
+    for _ in range(n_modalities):
+        A = rng.normal(0.3, 0.5, size=(n, n))
+        A = np.triu(A) + np.triu(A, 1).T
+        sims.append(np.clip(A, -FISHER_BOUND, FISHER_BOUND))
+    side = int(np.ceil(np.sqrt(n)))
+    return sims, build_neighborhood(grid_coords(side)[:n], 1.0)
+
+
+@pytest.fixture(scope="module")
+def two_block_problem():
+    """n = 1,600 (a 40 x 40 lattice): two H2 column blocks, the second
+    576 wide."""
+    spec = SyntheticSpec(grid_side=40, k_true=4, mu_within=0.8,
+                         mu_between=0.0, precision=4.0, seed=2, n_modalities=2)
+    sims, coords, _ = generate_spatial_sbm(spec)
+    assert H2_BLOCK < len(coords) < 2 * H2_BLOCK
+    return sims, build_neighborhood(coords, 1.0)
+
+
+class TestInitialSums:
+    """H1 and H2 straight after construction, with H2 built in column blocks."""
+
+    @pytest.mark.parametrize("init_k", range(2, 9))
+    def test_bit_equal_to_full_products(self, two_block_problem, init_k):
+        sims, graph = two_block_problem
+        cfg = FitConfig(n_iterations=2, n_burnin=1, seed=init_k, init_k=init_k)
+        s = GibbsSampler(sims, graph, cfg)
+        assert s.n_domains == init_k
+        for m, A in enumerate(sims):
+            assert np.array_equal(s.H[2 * m], s.GT @ A)
+            assert np.array_equal(s.H[2 * m + 1], s.GT @ (A * A))
+
+    def test_narrow_last_block_within_rounding(self):
+        # The last block is 76 columns wide; BLAS may sum such a narrow
+        # block in another order than the full product.
+        sims, graph = random_problem(1100, 2, seed=9)
+        s = GibbsSampler(sims, graph, FitConfig(n_iterations=2, n_burnin=1, init_k=6))
+        for m, A in enumerate(sims):
+            assert np.array_equal(s.H[2 * m], s.GT @ A)
+            np.testing.assert_allclose(s.H[2 * m + 1], s.GT @ (A * A), rtol=1e-13, atol=0)
+
+    def test_peak_memory_below_one_matrix(self, two_block_problem):
+        """No full n x n square is formed (numpy reports its allocations
+        to tracemalloc)."""
+        sims, graph = two_block_problem
+        n = graph.n_cells
+        tracemalloc.start()
+        try:
+            GibbsSampler(sims, graph, FitConfig(n_iterations=2, n_burnin=1, init_k=6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * n * n * 8, peak / (n * n * 8)
 
 
 class TestNonFiniteTerms:

@@ -97,6 +97,35 @@ class TestFisherZ:
         assert np.abs(A).max() <= FISHER_BOUND + 1e-12
         check_similarity_matrix(A)
 
+    def test_float64_input_transformed_in_place(self):
+        rng = np.random.default_rng(5)
+        R0 = rng.uniform(-1.5, 1.5, size=(40, 40))
+        R0 = (R0 + R0.T) / 2
+        R = R0.copy()
+        A = fisher_z(R, clip=0.99)
+        assert A is R
+        assert np.array_equal(A, np.arctanh(np.clip(R0.copy(), -0.99, 0.99)))
+
+    def test_other_dtypes_are_converted_to_a_new_array(self):
+        R = np.eye(3, dtype=np.float32)
+        A = fisher_z(R)
+        assert A is not R and A.dtype == np.float64
+        assert np.array_equal(R, np.eye(3))
+
+    @pytest.mark.parametrize("bad", ["nan", "asymmetric"])
+    def test_rejected_input_left_unmodified(self, bad):
+        rng = np.random.default_rng(6)
+        R0 = rng.uniform(-1.5, 1.5, size=(12, 12))
+        R0 = (R0 + R0.T) / 2
+        if bad == "nan":
+            R0[4, 7] = R0[7, 4] = np.nan
+        else:
+            R0[4, 7] += 1e-3
+        R = R0.copy()
+        with pytest.raises(DataError):
+            fisher_z(R)
+        assert np.array_equal(R, R0, equal_nan=True)
+
 
 def _valid_matrix(n, seed=0):
     rng = np.random.default_rng(seed)
