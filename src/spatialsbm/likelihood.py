@@ -179,16 +179,22 @@ def posterior_hyperparams_matrix(
 
 
 def resample_block_params(
-    stats: BlockStats, prior: NormalGammaPrior, rng: np.random.Generator
+    stats: BlockStats,
+    prior: NormalGammaPrior,
+    rng: np.random.Generator,
+    upper: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BlockParams:
     """Draw fresh block parameters from the conjugate posterior.
 
     tau ~ Gamma(alpha_n, rate=beta_n), then mu ~ Normal(mu_n,
-    1 / (k_n tau)); the (r, s) and (s, r) entries share a single draw.
+    1 / (k_n tau)); the (r, s) and (s, r) entries share a single draw,
+    taken in the row-major order of ``upper`` = ``np.triu_indices(K)``
+    (built here when not given; a caller drawing many K x K sets passes
+    it once built).
     """
     K = stats.n_domains
     kn, mun, an, bn = posterior_hyperparams_matrix(stats, prior)
-    iu = np.triu_indices(K)
+    iu = np.triu_indices(K) if upper is None else upper
     tau_u = rng.gamma(shape=an[iu], scale=1.0 / bn[iu])
     mu_u = mun[iu] + rng.standard_normal(tau_u.size) / np.sqrt(kn[iu] * tau_u)
     tau = np.zeros((K, K))

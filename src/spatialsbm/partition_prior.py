@@ -5,11 +5,12 @@ The component-count prior is a zero-truncated Poisson(1).  The coefficient
 
     V_n(t) = sum_{k >= t}  k!/(k-t)!  /  [(gamma k)(gamma k + 1)...(gamma k + n - 1)] * p(k)
 
-is tabulated in log space; its ratio V_n(t+1)/V_n(t) < 1 is what makes
-opening a new domain progressively harder.  The spatial reward adds
-``lam`` per neighbor sharing the candidate label and is zero for a brand
-new domain; the sampler scores it from its maintained neighbour counts,
-and this module gives the ordering threshold used to bound ``lam``.
+is computed in log space on first use; its ratio V_n(t+1)/V_n(t) < 1 is
+what makes opening a new domain progressively harder.  The spatial
+reward adds ``lam`` per neighbor sharing the candidate label and is zero
+for a brand new domain; the sampler scores it from its maintained
+neighbour counts, and this module gives the ordering threshold used to
+bound ``lam``.
 """
 
 from __future__ import annotations
@@ -89,25 +90,21 @@ def log_vn_table(n: int, gamma: float, t_max: int) -> np.ndarray:
 
 
 class MfmPrior:
-    """Precomputed log V_n table with on-demand extension.
+    """log V_n(t), computed on first use and kept.
 
-    The table is append-only, so concurrent readers are safe once built.
+    A chain reads only t <= K + 1, so nothing is computed up front; the
+    table grows through t when t is first asked for, and every entry is
+    one ``log_vn_entry`` call.  The table is append-only.
     """
 
-    def __init__(self, n: int, gamma: float = 1.0, t_max: int | None = None):
+    def __init__(self, n: int, gamma: float = 1.0):
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = int(n)
         self.gamma = float(gamma)
-        if t_max is None:
-            t_max = min(n, 50)
-        self._log_vn = list(log_vn_table(n, gamma, t_max))
-
-    @property
-    def t_max(self) -> int:
-        return len(self._log_vn)
+        self._log_vn: list[float] = []
 
     def log_vn_at(self, t: int) -> float:
         if t < 1:

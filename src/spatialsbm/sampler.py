@@ -29,43 +29,53 @@ The hot loop works on maintained sums instead of similarity rows.  The
 sampler keeps, per modality m, the cell-by-domain sums H1[m] = GT @ A_m
 and H2[m] = GT @ (A_m * A_m), and the neighbour counts NB = GT @ W,
 where GT is the K x n one-hot indicator of the partition and W the
-graph's sparse adjacency; all three live in one stacked (2M + 1, K, n)
-array.  H2 is built without a full n x n square: columns are squared in
-blocks of H2_BLOCK starting at multiples of H2_BLOCK, each into one
-reused n x H2_BLOCK buffer, and multiplied by GT straight into H.  With
-OpenBLAS this was bit-equal to GT @ (A_m * A_m) at n = 1,600, 3,000 and
-4,356, and within 3e-15 (relative) of it where the last block is only
-1 to 76 columns wide (n = 1,025, 1,100, 2,100).  Every label weight
-comes from one product (``GibbsSampler._log_weights``): the coefficient
-matrix times the cells' stacked columns of that array and the
-occupancies, each cell's own diagonal terms and occupancy taken out,
-O(M K^2) per cell.  A single update, a block of the label scan and the
-warm-start reseed's fit scores all share it.  Only a cell that actually changes label costs O(M n): its
-rows A_m[i] and A_m[i]^2 move from the old domain's sums to the new
-one's, and NB changes by one at the cell's neighbours (its CSR index
-slice).  Opening a domain appends a zero row and removing one deletes
-its row, so the sums are exact bookkeeping with no periodic recompute.
-Block statistics per sweep come from H @ GT.T in O(M n K^2).
+graph's sparse adjacency.  All three live in one domain-major
+(K, 2M + 1, n) array H: H[c] holds domain c's rows of H1[0], H2[0], ...,
+H1[M-1], H2[M-1] and NB, one contiguous block, and H1, H2 and NB are
+views of it.  H2 is built without a full n x n square: columns are
+squared in blocks of H2_BLOCK starting at multiples of H2_BLOCK, each
+into one reused n x H2_BLOCK buffer, and multiplied by GT straight into
+H.  With OpenBLAS this was bit-equal to GT @ (A_m * A_m) at n = 1,600,
+3,000 and 4,356, and within 3e-15 (relative) of it where the last block
+is only 1 to 76 columns wide (n = 1,025, 1,100, 2,100).  Every label
+weight comes from one product (``GibbsSampler._log_weights``): the
+coefficient matrix times the cells' columns of H, stacked
+modality-major, and the occupancies, each cell's own diagonal terms and
+occupancy taken out, O(M K^2) per cell.  A single update, a window of
+the label scan and the warm-start reseed's fit scores all share it.
+Only a cell that actually changes label costs O(M n): its rows A_m[i],
+A_m[i]^2 and its 0/1 neighbour row form one (2M + 1, n) block, which is
+subtracted from the old domain's block of H and added to the new one's
+(two contiguous row updates; adding 0 or 1 to a count is exact).
+Opening a domain appends a zero block and removing one deletes its
+block, so the sums are exact bookkeeping with no periodic recompute.
+Block statistics per sweep come from a modality-major copy of H times
+GT.T in O(M n K^2).
 
 The label pass is an exact sequential scan by the Gumbel-max trick
 (Maddison, Tarlow & Minka 2014): a label update is the argmax of its
 log-weights plus Gumbel noise, and a cell that keeps its label leaves the
-state unchanged.  So the pass scores a block of upcoming cells at once
-under the current state with that product, adds noise drawn cell-major
-in the sizes the per-cell loop would draw (K + 1 per cell in the full
-kernel, K per non-singleton cell in the warm start, none for a
-warm-start singleton), and finds the first cell whose choice differs
-from its label.  The
-cells before it change nothing; that one move is applied, the random
-stream is rewound to the block start and redrawn up to the mover (before
-a new domain draws its parameters), and the scan resumes at the next
-cell.  A full-kernel singleton goes through the scalar update, which
-purges its domain first, and so does the cell right after a block whose
-first cell moved, where moves are dense.  A block is twice as long as
-the run of cells the previous one settled, at most SCAN_BLOCK.  Labels,
-sums, parameters and the random stream follow the per-cell loop, whose
-updates score through the same product.  Once cells stop moving, a
-sweep is a few blocks instead of n scalar updates.
+state unchanged.  So the pass draws the noise of a block of upcoming
+cells at once, cell-major in the sizes the per-cell loop would draw (K +
+1 per cell in the full kernel, K per non-singleton cell in the warm
+start, none for a warm-start singleton), scores the cells under the
+current state with that product, and finds the first cell whose choice
+differs from its label.  The cells before it change nothing; that one
+move is applied, and the cells after it are rescored under the new
+state with the noise they already drew: a move that neither opens a
+domain nor changes which later cell of the block is a singleton leaves
+what those cells draw as it was.  The rescored window is twice as long
+as the run of cells settled since the previous move (at least 4) and
+doubles while no cell moves.  A move that does change the layout ends
+the block: unless the mover's noise was the last drawn, the random
+stream is rewound to the block start and redrawn up to the mover
+(before a new domain draws its parameters), and the next block starts
+after it.  A block is twice as long as the run of
+cells the previous one settled, at most SCAN_BLOCK.  Full-kernel
+singletons go through the scalar update, which purges their domain
+first.  Labels, sums, parameters and the random stream follow the
+per-cell loop, whose updates score through the same product.  Once
+cells stop moving, a sweep is a few blocks instead of n scalar updates.
 """
 
 from __future__ import annotations
@@ -235,29 +245,35 @@ class GibbsSampler:
         self.params = [p.copy() for p in params]
 
         # GT[c, i] = 1 iff z_i = c, and the maintained cell-by-domain sums
-        # H[2m] = GT @ A_m, H[2m + 1] = GT @ (A_m * A_m), H[-1] = GT @ W
-        # (see the module docstring).
+        # H[c, 2m] = (GT @ A_m)[c], H[c, 2m + 1] = (GT @ (A_m * A_m))[c],
+        # H[c, -1] = (GT @ W)[c]: domain-major (see the module docstring).
         self.GT = np.zeros((self.n_domains, n))
         self.GT[self.z, np.arange(n)] = 1.0
-        self.H = np.empty((2 * len(self.sims) + 1, self.n_domains, n))
+        self.H = np.empty((self.n_domains, 2 * len(self.sims) + 1, n))
         squares = np.empty(n * min(n, H2_BLOCK))
         for m, A in enumerate(self.sims):
-            np.matmul(self.GT, A, out=self.H[2 * m])
+            np.matmul(self.GT, A, out=self.H[:, 2 * m])
             for s in range(0, n, H2_BLOCK):
                 cols = A[:, s : s + H2_BLOCK]
                 sq = np.multiply(cols, cols, out=squares[: cols.size].reshape(cols.shape))
-                np.matmul(self.GT, sq, out=self.H[2 * m + 1, :, s : s + H2_BLOCK])
-        self.H[-1] = (graph.W @ self.GT.T).T
+                np.matmul(self.GT, sq, out=self.H[:, 2 * m + 1, s : s + H2_BLOCK])
+        self.H[:, -1] = (graph.W @ self.GT.T).T
         self.occ = self.GT.sum(axis=1)
-        # math.log, as label updates write it, so a cell that keeps its
-        # label leaves _lgocc bit-for-bit as it was.
-        self._lgocc = np.array([math.log(o + config.gamma) for o in self.occ.tolist()])
+        # log(n_c + gamma) and log(n_c - 1 + gamma), the urn mass of a
+        # domain with and without the scored cell, by math.log as label
+        # updates write them, so a cell that keeps its label leaves them
+        # bit-for-bit as they were.
+        g = config.gamma
+        self._lgocc = np.array([math.log(o + g) for o in self.occ.tolist()])
+        self._lgdet = np.array([math.log(o - 1.0 + g) for o in self.occ.tolist()])
         self._diag = [np.ascontiguousarray(np.diag(A)) for A in self.sims]
         # Cell i's own entries of the H1 / H2 rows: [A_m[i, i], A_m[i, i]^2].
         self._self_terms = np.array([t for d in self._diag for t in (d, d * d)])
-        # _move's scratch rows, allocated once: a fresh (2M, n) array per
-        # move can fault in new pages each time malloc maps or trims it.
-        self._rows = np.empty((2 * len(self.sims), n))
+        # _move's scratch rows, allocated once (a fresh array per move can
+        # fault in new pages each time malloc maps or trims it); the last,
+        # neighbour row is zero outside a move.
+        self._rows = np.zeros((2 * len(self.sims) + 1, n))
+        self._upper = np.triu_indices(self.n_domains)
         self._new_const = np.zeros(n)
         for diag, w, prior in zip(self._diag, self.weights, self.priors):
             if w == 0.0:
@@ -271,17 +287,17 @@ class GibbsSampler:
     @property
     def H1(self) -> np.ndarray:
         """(M, K, n) view: H1[m] = GT @ A_m."""
-        return self.H[0:-1:2]
+        return self.H[:, 0:-1:2].transpose(1, 0, 2)
 
     @property
     def H2(self) -> np.ndarray:
         """(M, K, n) view: H2[m] = GT @ (A_m * A_m)."""
-        return self.H[1:-1:2]
+        return self.H[:, 1:-1:2].transpose(1, 0, 2)
 
     @property
     def NB(self) -> np.ndarray:
         """(K, n) view: NB[c, j] = number of neighbours of j in domain c."""
-        return self.H[-1]
+        return self.H[:, -1]
 
     # ----- cached per-sweep quantities -------------------------------------
 
@@ -298,7 +314,7 @@ class GibbsSampler:
         observation.
         """
         K = self.params[0].n_domains
-        R = self.H.shape[0]
+        R = self.H.shape[1]
         coef = np.zeros((K, R + 1, K))
         for m, (p, w) in enumerate(zip(self.params, self.weights)):
             if w == 0.0:
@@ -324,9 +340,10 @@ class GibbsSampler:
         """Remove the (empty) domain d, shifting labels above it down."""
         self.z[self.z > d] -= 1
         self.GT = np.delete(self.GT, d, axis=0)
-        self.H = np.delete(self.H, d, axis=1)
+        self.H = np.delete(self.H, d, axis=0)
         self.occ = np.delete(self.occ, d)
         self._lgocc = np.delete(self._lgocc, d)
+        self._lgdet = np.delete(self._lgdet, d)
         for m, p in enumerate(self.params):
             self.params[m] = BlockParams(
                 means=np.delete(np.delete(p.means, d, 0), d, 1),
@@ -357,29 +374,35 @@ class GibbsSampler:
             self.params[m] = BlockParams(means=means, precisions=precs)
         self._refresh_caches()
         self.GT = np.vstack([self.GT, np.zeros((1, self.n))])
-        self.H = np.concatenate([self.H, np.zeros((self.H.shape[0], 1, self.n))], axis=1)
+        self.H = np.concatenate([self.H, np.zeros((1,) + self.H.shape[1:])])
+        # The new domain's urn terms are set when its first cell attaches.
         self.occ = np.append(self.occ, 0.0)
         self._lgocc = np.append(self._lgocc, 0.0)
+        self._lgdet = np.append(self._lgdet, 0.0)
         self.n_domains += 1
 
     def _move(self, i: int, old: int, new: int) -> None:
         """Relabel cell i from domain old to new in z, GT and the sums H.
 
+        Cell i's contribution to one domain's sums is the (2M + 1, n) block
+        of its rows A_m[i], A_m[i]^2 and its 0/1 neighbour row, so a move
+        is two contiguous row updates (adding 0 or 1 to a count is exact).
         ``old = -1`` means the cell's old domain was already purged, which
         removed its contribution along with the domain's row.
         Occupancies are the caller's business.
         """
         rows = self._rows
         for m, A in enumerate(self.sims):
-            rows[2 * m] = A[i]
-            np.multiply(A[i], A[i], out=rows[2 * m + 1])
+            a = A[i]
+            rows[2 * m] = a
+            np.multiply(a, a, out=rows[2 * m + 1])
         nbrs = self.graph.neighbors(i)
+        rows[-1, nbrs] = 1.0
         if old >= 0:
-            self.H[:-1, old] -= rows
-            self.H[-1, old, nbrs] -= 1.0
+            self.H[old] -= rows
             self.GT[old, i] = 0.0
-        self.H[:-1, new] += rows
-        self.H[-1, new, nbrs] += 1.0
+        self.H[new] += rows
+        rows[-1, nbrs] = 0.0
         self.GT[new, i] = 1.0
         self.z[i] = new
 
@@ -399,20 +422,19 @@ class GibbsSampler:
         and spatial terms come back alone.
         """
         K = self.n_domains
-        R = self.H.shape[0]
+        R = self.H.shape[1]
         B = e - i
         own = self.GT[:, i:e]
+        H = self.H[:, :, i:e].transpose(1, 0, 2)
         X = np.empty((R + 1, K, B))
-        np.subtract(self.H[:-1, :, i:e], own * self._self_terms[:, None, i:e], out=X[: R - 1])
-        X[R - 1] = self.NB[:, i:e]
+        np.subtract(H[:-1], own * self._self_terms[:, None, i:e], out=X[: R - 1])
+        X[R - 1] = H[-1]
         np.subtract(self.occ[:, None], own, out=X[R])
         fit = self._coef @ X.reshape(-1, B)
         if new is None:
             return fit
-        g = self.config.gamma
-        lg_detached = np.array([math.log(o - 1.0 + g) for o in self.occ.tolist()])
         logw = np.empty((K + 1, B))
-        logw[:K] = fit + np.where(own, lg_detached[:, None], self._lgocc[:, None])
+        logw[:K] = fit + np.where(own, self._lgdet[:, None], self._lgocc[:, None])
         logw[K] = new
         return logw
 
@@ -461,7 +483,7 @@ class GibbsSampler:
             self.z[i] = -1
             self._purge(old)
             return -1
-        self._lgocc[old] = math.log(self.occ[old] + self.config.gamma)
+        self._set_urn_terms(old)
         return old
 
     def _attach(self, i: int, old: int, c: int) -> None:
@@ -471,7 +493,12 @@ class GibbsSampler:
         if c != old:
             self._move(i, old, c)
         self.occ[c] += 1.0
-        self._lgocc[c] = math.log(self.occ[c] + self.config.gamma)
+        self._set_urn_terms(c)
+
+    def _set_urn_terms(self, c: int) -> None:
+        o, g = self.occ[c], self.config.gamma
+        self._lgocc[c] = math.log(o + g)
+        self._lgdet[c] = math.log(o - 1.0 + g)
 
     # ----- label pass -------------------------------------------------------
 
@@ -487,67 +514,105 @@ class GibbsSampler:
         i = 0
         length = SCAN_BLOCK
         while i < self.n:
-            e, new = i, None
-            if length > 1 and not (allow_new and self.occ[self.z[i]] == 1.0):
-                e = min(i + length, self.n)
-                if allow_new:
-                    new = self._new_const[i:e] + self.mfm.log_new_weight(self.n_domains)
-                    stop = (self.occ[self.z[i:e]] == 1.0) | ~np.isfinite(new)
-                    if stop.any():
-                        e = i + int(stop.argmax())
-                        new = new[: e - i]
+            e, new = min(i + length, self.n), None
+            if allow_new and self.occ[self.z[i]] == 1.0:
+                e = i
+            elif allow_new:
+                new = self._new_const[i:e] + self.mfm.log_new_weight(self.n_domains)
+                stop = (self.occ[self.z[i:e]] == 1.0) | ~np.isfinite(new)
+                if stop.any():
+                    e = i + int(stop.argmax())
+                    new = new[: e - i]
             if e == i:
-                # One scalar update: a full-kernel singleton, whose domain is
-                # purged first; a cell whose new-domain weight is not finite,
-                # where label_update raises; or the cell after a block whose
-                # first cell moved, where moves are too dense for a block.
-                old = self.z[i]
-                self.label_update(i, allow_new=allow_new)
-                if length == 1 and self.z[i] == old:
-                    length = 2
+                # A full-kernel singleton, whose domain is purged first, or
+                # a cell whose new-domain weight is not finite, where
+                # label_update raises.
+                self.label_update(i)
                 i += 1
                 continue
             nxt = self._scan_block(i, e, new)
             # The next block is twice as long as the run of cells this one
-            # settled: short where cells move often, long where none do.
-            length = 1 if nxt == i + 1 else min(SCAN_BLOCK, 2 * (nxt - i))
+            # settled before it had to end at a mover: short where domains
+            # open often, long where none do.
+            settled = nxt - i if nxt == e else nxt - 1 - i
+            length = min(SCAN_BLOCK, max(1, 2 * settled))
             i = nxt
 
     def _scan_block(self, i: int, e: int, new: np.ndarray | None) -> int:
-        """Score cells i..e-1 under the current state and apply the first
-        move among them; return the cell the pass resumes at.
+        """Resample cells i..e-1 with one draw of their noise; return the
+        cell the pass resumes at.
 
         ``new`` holds the cells' new-domain log-weights (full kernel, no
-        singletons among the cells) or is None (warm-start kernel).
+        singletons among the cells) or is None (warm-start kernel).  Each
+        move is applied as it is found and the scan rescores the cells
+        after it under the new state with the noise they already have,
+        unless the move changes what later cells of the block draw (see
+        :meth:`_ends_block`); then the block ends at the mover.
         """
-        z = self.z[i:e]
-        logw = self._log_weights(i, e, new)
         if new is None:
             # Warm-start singletons stay put and draw no noise.
-            drawn = (self.occ[z] > 1.0).nonzero()[0]
-            logw = logw[:, drawn]
+            drawn = (self.occ[self.z[i:e]] > 1.0).nonzero()[0]
+            if drawn.size == 0:
+                return e
         else:
             drawn = np.arange(e - i)
         start = self.rng.bit_generator.state
-        width = logw.shape[0]
-        choice = (logw + self.rng.gumbel(0.0, 1.0, (drawn.size, width)).T).argmax(axis=0)
-        moved = (choice != z[drawn]).nonzero()[0]
-        if moved.size == 0:
-            return e
-        # Cells before the mover left the state as it was.  Leave the
-        # stream just past the mover's noise, as the per-cell loop does,
-        # before a new domain draws its parameters.
-        q = int(moved[0])
-        self.rng.bit_generator.state = start
-        self.rng.gumbel(0.0, 1.0, (q + 1) * width)
-        cell = i + int(drawn[q])
-        self._attach(cell, self._detach(cell), int(choice[q]))
-        return cell + 1
+        width = self.n_domains + (new is not None)
+        noise = self.rng.gumbel(0.0, 1.0, (drawn.size, width))
+        a, window, since = 0, drawn.size, 0
+        while a < drawn.size:
+            b = min(a + window, drawn.size)
+            c0, c1 = i + int(drawn[a]), i + int(drawn[b - 1]) + 1
+            logw = self._log_weights(c0, c1, None if new is None else new[c0 - i : c1 - i])
+            z = self.z[c0:c1]
+            if c1 - c0 > b - a:
+                cols = drawn[a:b] - drawn[a]
+                logw, z = logw[:, cols], z[cols]
+            choice = (logw + noise[a:b].T).argmax(axis=0)
+            moved = (choice != z).nonzero()[0]
+            if moved.size == 0:
+                # Doubles while no cell moves.
+                a, window = b, 2 * window
+                continue
+            q = a + int(moved[0])
+            cell, c = i + int(drawn[q]), int(choice[moved[0]])
+            if self._ends_block(cell, c, e, new is not None):
+                # Leave the stream just past the mover's noise, as the
+                # per-cell loop does, before a new domain draws its
+                # parameters.
+                if q + 1 < drawn.size:
+                    self.rng.bit_generator.state = start
+                    self.rng.gumbel(0.0, 1.0, (q + 1) * width)
+                self._attach(cell, self._detach(cell), c)
+                return cell + 1
+            self._attach(cell, self._detach(cell), c)
+            # Rescore a window twice as long as the run settled since the
+            # last move.
+            a, window, since = q + 1, max(4, 2 * (q - since)), q + 1
+        return e
+
+    def _ends_block(self, cell: int, c: int, e: int, allow_new: bool) -> bool:
+        """Whether moving ``cell`` to domain c changes the noise layout of
+        cells cell+1..e-1 of its block: the move opens a domain (every
+        later width grows, and the new domain draws its parameters), or
+        it changes which later cells are singletons.  A full-kernel
+        singleton must purge its domain, and a warm-start singleton draws
+        no noise; so the old domain dropping to one member matters, and in
+        the warm start so does the target rising from one member to two,
+        when that member lies later in the block."""
+        if c == self.n_domains:
+            return True
+        old = self.z[cell]
+        if self.occ[old] == 2.0 and self.GT[old, cell + 1 : e].any():
+            return True
+        return not allow_new and self.occ[c] == 1.0 and bool(self.GT[c, cell + 1 : e].any())
 
     # ----- sweep ------------------------------------------------------------
 
     def _current_stats(self) -> tuple[list[BlockStats], list[np.ndarray], list[np.ndarray]]:
-        sums = self.H[:-1] @ self.GT.T
+        # A contiguous (2M, K, n) copy, so BLAS sums as it did on the
+        # modality-major layout.
+        sums = np.ascontiguousarray(self.H[:, :-1].transpose(1, 0, 2)) @ self.GT.T
         stats, d1s, d2s = [], [], []
         for m, diag in enumerate(self._diag):
             d1s.append(np.bincount(self.z, weights=diag, minlength=self.n_domains))
@@ -569,8 +634,12 @@ class GibbsSampler:
         return self.deviance
 
     def _resample_all_params(self, stats: list[BlockStats]) -> None:
+        # The upper-triangle indices are rebuilt only when K has changed.
+        K = self.n_domains
+        if self._upper[0].size != K * (K + 1) // 2:
+            self._upper = np.triu_indices(K)
         for m, prior in enumerate(self.priors):
-            self.params[m] = resample_block_params(stats[m], prior, self.rng)
+            self.params[m] = resample_block_params(stats[m], prior, self.rng, self._upper)
         self._refresh_caches()
 
     def refit_params(self) -> None:

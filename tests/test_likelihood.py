@@ -144,6 +144,19 @@ class TestResampleBlockParams:
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.precisions, b.precisions)
 
+    def test_given_upper_indices_draw_the_same_bits(self):
+        rng = np.random.default_rng(4)
+        K = 4
+        st = BlockStats(
+            count=rng.integers(0, 20, (K, K)).astype(float),
+            mean=rng.normal(0.3, 0.2, (K, K)),
+            sse=rng.uniform(0.0, 2.0, (K, K)),
+        )
+        a = resample_block_params(st, PRIOR, np.random.default_rng(9))
+        b = resample_block_params(st, PRIOR, np.random.default_rng(9), np.triu_indices(K))
+        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.precisions, b.precisions)
+
     def test_symmetry_and_positivity(self):
         rng = np.random.default_rng(2)
         st = BlockStats(

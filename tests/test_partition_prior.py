@@ -9,6 +9,7 @@ from oracles import (
     urn_log_weight_existing,
     urn_log_weight_new,
 )
+from spatialsbm import partition_prior
 from spatialsbm.partition_prior import (
     MfmPrior,
     lambda_critical,
@@ -16,7 +17,9 @@ from spatialsbm.partition_prior import (
     log_vn_entry,
     log_vn_table,
 )
+from spatialsbm.sampler import FitConfig, run_chain
 from spatialsbm.similarity import build_neighborhood
+from spatialsbm.synthetic import SyntheticSpec, generate_spatial_sbm
 
 
 def grid_coords(side):
@@ -68,13 +71,62 @@ class TestLogVnTable:
             log_vn_table(5, 1.0, 6)
 
 
+@pytest.fixture
+def entry_calls(monkeypatch):
+    """t of every log_vn_entry call, in order."""
+    calls = []
+
+    def counted(n, gamma, t, *args, **kwargs):
+        calls.append(t)
+        return log_vn_entry(n, gamma, t, *args, **kwargs)
+
+    monkeypatch.setattr(partition_prior, "log_vn_entry", counted)
+    return calls
+
+
 class TestMfmPrior:
-    def test_table_extends_on_demand(self):
-        mfm = MfmPrior(30, 1.0, t_max=3)
-        assert mfm.t_max == 3
+    def test_construction_computes_no_entry(self, entry_calls):
+        MfmPrior(484, 1.0)
+        MfmPrior(30, 0.5)
+        assert entry_calls == []
+
+    def test_table_extends_on_demand(self, entry_calls):
+        mfm = MfmPrior(30, 1.0)
         val = mfm.log_vn_at(7)
-        assert mfm.t_max >= 7
-        assert val == pytest.approx(log_vn_entry(30, 1.0, 7), abs=1e-12)
+        assert entry_calls == [1, 2, 3, 4, 5, 6, 7]
+        assert val == log_vn_entry(30, 1.0, 7)
+        mfm.log_vn_at(3)
+        assert len(entry_calls) == 7
+
+    @pytest.mark.parametrize("order", [(1, 2, 3, 9), (9, 3, 1, 2), (5, 9, 2, 8)])
+    def test_values_independent_of_request_order(self, order):
+        mfm = MfmPrior(40, 0.7)
+        for t in order:
+            assert mfm.log_vn_at(t) == log_vn_entry(40, 0.7, t)
+        assert [mfm.log_vn_at(t) for t in range(1, 10)] == [
+            log_vn_entry(40, 0.7, t) for t in range(1, 10)
+        ]
+
+    def test_select_sized_chain_computes_k_max_plus_one_entries(
+        self, entry_calls, monkeypatch
+    ):
+        """A chain reads V_n(K) and V_n(K + 1) for the K it visits in the
+        full kernel, so it computes entries 1..K_max + 1 and no more."""
+        k_seen = []
+        log_new_weight = MfmPrior.log_new_weight
+
+        def recorded(self, k_star):
+            k_seen.append(k_star)
+            return log_new_weight(self, k_star)
+
+        monkeypatch.setattr(MfmPrior, "log_new_weight", recorded)
+        spec = SyntheticSpec(grid_side=22, k_true=4, mu_within=0.8, mu_between=0.0,
+                             precision=4.0, seed=7, n_modalities=2)
+        sims, coords, _ = generate_spatial_sbm(spec)
+        cfg = FitConfig(lam=0.1, n_iterations=40, n_burnin=20, seed=7)
+        run_chain(sims, build_neighborhood(coords, 1.0), cfg)
+        assert k_seen
+        assert entry_calls == list(range(1, max(k_seen) + 2))
 
     def test_rejects_t_above_n(self):
         mfm = MfmPrior(4, 1.0)

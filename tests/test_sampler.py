@@ -15,6 +15,7 @@ from spatialsbm.sampler import (
     FitConfig,
     H2_BLOCK,
     GibbsSampler,
+    config_for_grid_point,
     derive_seed,
     init_chain,
     run_chain,
@@ -361,8 +362,8 @@ class TestInitialSums:
         s = GibbsSampler(sims, graph, cfg)
         assert s.n_domains == init_k
         for m, A in enumerate(sims):
-            assert np.array_equal(s.H[2 * m], s.GT @ A)
-            assert np.array_equal(s.H[2 * m + 1], s.GT @ (A * A))
+            assert np.array_equal(s.H1[m], s.GT @ A)
+            assert np.array_equal(s.H2[m], s.GT @ (A * A))
 
     def test_narrow_last_block_within_rounding(self):
         # The last block is 76 columns wide; BLAS may sum such a narrow
@@ -370,8 +371,8 @@ class TestInitialSums:
         sims, graph = random_problem(1100, 2, seed=9)
         s = GibbsSampler(sims, graph, FitConfig(n_iterations=2, n_burnin=1, init_k=6))
         for m, A in enumerate(sims):
-            assert np.array_equal(s.H[2 * m], s.GT @ A)
-            np.testing.assert_allclose(s.H[2 * m + 1], s.GT @ (A * A), rtol=1e-13, atol=0)
+            assert np.array_equal(s.H1[m], s.GT @ A)
+            np.testing.assert_allclose(s.H2[m], s.GT @ (A * A), rtol=1e-13, atol=0)
 
     def test_peak_memory_below_one_matrix(self, two_block_problem):
         """No full n x n square is formed (numpy reports its allocations
@@ -460,25 +461,67 @@ class TestMaintainedSums:
         assert min(events.values()) > 0, events
 
 
+class RewindCountingPCG64(np.random.PCG64):
+    """PCG64 that counts how often its state is set: the label scan sets
+    it only to rewind the stream to the start of a block."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.state_sets = 0
+
+    @property
+    def state(self):
+        return np.random.PCG64.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        self.state_sets += 1
+        np.random.PCG64.state.__set__(self, value)
+
+
 class TestScanMatchesScalarPass:
     """The block-wise label scan against one label_update per cell: from
     equal states, every sweep leaves equal labels, occupancies, sums,
     parameters, deviance and random-stream state.  Both score through
     ``_log_weights``, so this checks the scan's order of moves, noise and
-    stream rewinds; ``full_conditional_oracle`` checks the weights."""
+    stream rewinds; ``full_conditional_oracle`` checks the weights.
+
+    Besides domains opened in the scan, purges, warm-start singletons and
+    reseeds, the run counts the scan's three branches after a move: the
+    block keeps its noise, or it ends with a rewind because the move
+    opened a domain or changed which later cell of the block is a
+    singleton."""
+
+    EVENTS = ("scan_grow", "purge", "warm_singleton", "reseed", "kept_noise",
+              "rewind_grow", "rewind_singleton")
 
     @staticmethod
     def run_side_by_side(sims, graph, cfg, n_sweeps, monkeypatch):
-        events = {"scan_grow": 0, "purge": 0, "warm_singleton": 0, "reseed": 0}
+        events = dict.fromkeys(TestScanMatchesScalarPass.EVENTS, 0)
         scan_block = GibbsSampler._scan_block
+        ends_block = GibbsSampler._ends_block
         purge = GibbsSampler._purge
+        ending = []
 
         def counted_scan(self, i, e, new):
             k0 = self.n_domains
             if new is None:
                 events["warm_singleton"] += int((self.occ[self.z[i:e]] == 1.0).sum())
+            ending.clear()
+            sets = self.rng.bit_generator.state_sets
             out = scan_block(self, i, e, new)
             events["scan_grow"] += self.n_domains > k0
+            if self.rng.bit_generator.state_sets > sets:
+                events[f"rewind_{ending[-1]}"] += 1
+            return out
+
+        def counted_ends(self, cell, c, e, allow_new):
+            grow = c == self.n_domains
+            out = ends_block(self, cell, c, e, allow_new)
+            if out:
+                ending.append("grow" if grow else "singleton")
+            else:
+                events["kept_noise"] += 1
             return out
 
         def counted_purge(self, d):
@@ -486,9 +529,12 @@ class TestScanMatchesScalarPass:
             return purge(self, d)
 
         monkeypatch.setattr(GibbsSampler, "_scan_block", counted_scan)
+        monkeypatch.setattr(GibbsSampler, "_ends_block", counted_ends)
         monkeypatch.setattr(GibbsSampler, "_purge", counted_purge)
-        fast = GibbsSampler(sims, graph, cfg)
-        ref = GibbsSampler(sims, graph, cfg)
+        # The stream of default_rng(seed), the sampler's own, on both sides.
+        fast, ref = (GibbsSampler(sims, graph, cfg,
+                                  rng=np.random.Generator(RewindCountingPCG64(cfg.seed)))
+                     for _ in range(2))
         ref._label_pass = lambda allow_new: scalar_label_pass(ref, allow_new)
         warmup = min(cfg.resolved_warmup(), cfg.n_burnin)
         if warmup > 0:
@@ -534,7 +580,7 @@ class TestScanMatchesScalarPass:
         assert events["scan_grow"] > 0 and events["purge"] > 0, events
 
 
-# K and labels of every sweep of two fixed-seed chains, as run_chain's
+# K and labels of every sweep of three fixed-seed chains, as run_chain's
 # trace writes them.  A change that alters chains on purpose re-records
 # them with `PYTHONPATH=src python tests/test_sampler.py --record`.
 TRAJECTORIES = Path(__file__).parent / "data" / "fixed_seed_chains.json"
@@ -543,7 +589,8 @@ TRAJECTORIES = Path(__file__).parent / "data" / "fixed_seed_chains.json"
 def fixed_seed_chains():
     """name -> (sims, graph, config) of the pinned chains: one through
     warm-up reseeds and then new domains, one that collapses to
-    singletons."""
+    singletons, and one whose warm-up moves cells in dense runs from a
+    random start and after each reseed."""
     spec = SyntheticSpec(grid_side=8, k_true=3, mu_within=0.8, mu_between=0.0,
                          precision=4.0, seed=4, n_modalities=2)
     sims, coords, _ = generate_spatial_sbm(spec)
@@ -554,7 +601,14 @@ def fixed_seed_chains():
     sims, coords, _ = generate_spatial_sbm(spec)
     collapse = (sims, build_neighborhood(coords, 1.0),
                 FitConfig(lam=0.0, n_iterations=60, n_burnin=30, seed=1))
-    return {"lattice_8x8_two_modalities": lattice, "collapse_10x10": collapse}
+    spec = SyntheticSpec(grid_side=24, k_true=4, mu_within=0.8, mu_between=0.0,
+                         precision=4.0, seed=7, n_modalities=2)
+    sims, coords, _ = generate_spatial_sbm(spec)
+    dense = (sims, build_neighborhood(coords, 1.5),
+             FitConfig(lam=0.3, delta=1.5, weights=(1.0, 0.8), n_iterations=60,
+                       n_burnin=30, seed=7, init_k=5))
+    return {"lattice_8x8_two_modalities": lattice, "collapse_10x10": collapse,
+            "dense_warmup_24x24": dense}
 
 
 def chain_trajectory(sims, graph, cfg, trace_dir) -> dict:
@@ -565,7 +619,8 @@ def chain_trajectory(sims, graph, cfg, trace_dir) -> dict:
 
 
 class TestFixedSeedTrajectories:
-    @pytest.mark.parametrize("name", ["lattice_8x8_two_modalities", "collapse_10x10"])
+    @pytest.mark.parametrize("name", ["lattice_8x8_two_modalities", "collapse_10x10",
+                                      "dense_warmup_24x24"])
     def test_trajectory_is_pinned(self, name, tmp_path):
         pinned = json.loads(TRAJECTORIES.read_text())[name]
         got = chain_trajectory(*fixed_seed_chains()[name], tmp_path)
@@ -582,6 +637,27 @@ class TestSeedDerivation:
         assert a != b
 
 
+def digest_chains():
+    """name -> (sims, graph, config) of the chains ``--digest`` hashes: the
+    pinned chains, a 40 x 40 single-modality chain of 240 sweeps, and two
+    (lam, delta) grid points of a 22 x 22 two-modality search."""
+    chains = fixed_seed_chains()
+    spec = SyntheticSpec(grid_side=40, k_true=4, mu_within=0.8, mu_between=0.0,
+                         precision=4.0, seed=41)
+    sims, coords, _ = generate_spatial_sbm(spec)
+    chains["bands_40x40"] = (sims, build_neighborhood(coords, 1.5),
+                             FitConfig(lam=0.3, delta=1.5, n_iterations=240,
+                                       n_burnin=120, seed=41))
+    spec = SyntheticSpec(grid_side=22, k_true=4, mu_within=0.8, mu_between=0.0,
+                         precision=4.0, seed=7, n_modalities=2)
+    sims, coords, _ = generate_spatial_sbm(spec)
+    base = FitConfig(n_iterations=40, n_burnin=20, seed=7)
+    for lam, delta in ((0.1, 1.0), (0.3, 1.5)):
+        chains[f"grid_22x22_lam{lam}_delta{delta}"] = (
+            sims, build_neighborhood(coords, delta), config_for_grid_point(base, lam, delta))
+    return chains
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     import tempfile
 
@@ -590,3 +666,15 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
                   for name, chain in fixed_seed_chains().items()}
     TRAJECTORIES.parent.mkdir(exist_ok=True)
     TRAJECTORIES.write_text(json.dumps(record, indent=1) + "\n")
+
+if __name__ == "__main__" and sys.argv[1:] == ["--digest"]:
+    # SHA-256 of each chain's run_chain trace: equal lines from two
+    # checkouts mean byte-identical chains.
+    import hashlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.tsv"
+        for name, (sims, graph, cfg) in digest_chains().items():
+            run_chain(sims, graph, cfg, trace_file=path)
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
